@@ -18,8 +18,10 @@ BENCH_TIME ?= 50x
 # The fault-commit benchmarks run a 1000x1000-mesh snapshot rebuild per
 # iteration (BenchmarkApplyFullRebuild pays a multi-second full
 # precompute each time), so they get their own, much smaller iteration
-# count and a separate invocation.
-APPLY_BENCH_PATTERN ?= BenchmarkApply
+# count and a separate invocation. The B2 information stage that
+# dominates a commit is gated with them: its full build (InfoB2) and its
+# delta rebuild (InfoRebuildB2) on the 100x100/1500-fault fixture.
+APPLY_BENCH_PATTERN ?= BenchmarkApply|BenchmarkInfoB2|BenchmarkInfoRebuildB2
 APPLY_BENCH_TIME ?= 2x
 # Samples per benchmark: single-count runs hide regressions in variance,
 # so bench-json and bench-compare repeat every benchmark BENCH_COUNT
@@ -98,8 +100,11 @@ govulncheck:
 lint:
 	$(GO) run ./cmd/meshlint ./...
 
+# bench/ is its own module (repro/bench), so ./... does not reach it;
+# -short runs its checker, stats, spec and small fixture tests.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test -short ./...
 
 # Gate that every godoc Example builds and its Output matches — the API
 # reference's runnable examples are tests, not prose.

@@ -6,8 +6,8 @@
 // regenerates the panels at the paper's full scale.
 //
 // Additional benchmarks cover the substrate hot paths (labeling, MCC
-// extraction, information propagation, single routings) and the ablations
-// called out in DESIGN.md (adaptive policy, border rule).
+// extraction, information propagation, single routings) and ablations of
+// two choices the paper leaves open (adaptive policy, border rule).
 package meshroute
 
 import (
@@ -103,9 +103,10 @@ func benchFaults(n int) *fault.Set {
 
 // benchFix is the shared routing fixture: one 100x100/1500-fault engine
 // (B2 only — the RB2 benchmarks' model), built once per test binary. The
-// expensive part is the B2 information flood (~20s); before this fixture
-// every routing benchmark rebuilt it per calibration invocation, which is
-// how the seeded bench-json run spent 159s inside one benchmark.
+// expensive part is the B2 information stage (BenchmarkInfoB2, four
+// orientations); before this fixture every routing benchmark rebuilt it
+// per calibration invocation, which is how the seeded bench-json run
+// spent 159s inside one benchmark.
 var benchFix struct {
 	once  sync.Once
 	f     *fault.Set
@@ -184,6 +185,55 @@ func BenchmarkInfoB2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		info.Build(info.B2, set)
+	}
+}
+
+// BenchmarkInfoRebuildB2 measures the B2 information stage of one commit
+// on the same fixture: each op applies a 4-add/4-repair delta (the next op
+// undoes it) through labeling.Update, mcc.UpdateSet and info.Rebuild in
+// all four orientations, the chain routing.RebuildFrom runs per model.
+func BenchmarkInfoRebuildB2(b *testing.B) {
+	f := benchFaults(1500)
+	m := f.Mesh()
+	rng := rand.New(rand.NewSource(4))
+	var adds, repairs []mesh.Coord
+	seen := map[mesh.Coord]bool{}
+	for len(adds) < 4 || len(repairs) < 4 {
+		c := mesh.C(rng.Intn(m.Width()), rng.Intn(m.Height()))
+		switch {
+		case seen[c]:
+		case f.Faulty(c) && len(repairs) < 4:
+			repairs = append(repairs, c)
+		case !f.Faulty(c) && len(adds) < 4:
+			adds = append(adds, c)
+		}
+		seen[c] = true
+	}
+	// delta[i%2][o] holds op i's adds and repairs in o's canonical frame.
+	var delta [2][mesh.NumOrients][2][]mesh.Coord
+	var grids [mesh.NumOrients]*labeling.Grid
+	var stores [mesh.NumOrients]*info.Store
+	for o := mesh.Orient(0); o < mesh.NumOrients; o++ {
+		for _, c := range adds {
+			delta[0][o][0] = append(delta[0][o][0], o.To(m, c))
+			delta[1][o][1] = append(delta[1][o][1], o.To(m, c))
+		}
+		for _, c := range repairs {
+			delta[0][o][1] = append(delta[0][o][1], o.To(m, c))
+			delta[1][o][0] = append(delta[1][o][0], o.To(m, c))
+		}
+		grids[o] = labeling.Compute(f.Mirror(o), labeling.BorderSafe)
+		stores[o] = info.Build(info.B2, mcc.Extract(grids[o]))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for o := range grids {
+			d := delta[i%2][o]
+			res := labeling.Update(grids[o], d[0], d[1])
+			set, carried := mcc.UpdateSet(stores[o].Set(), res.Grid, res.UnsafeFlipped)
+			grids[o], stores[o] = res.Grid, info.Rebuild(stores[o], set, carried, res.UnsafeFlipped)
+		}
 	}
 }
 
@@ -300,7 +350,7 @@ func BenchmarkRouteBatchOracleUncachedRB2(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (design choices in DESIGN.md) ---
+// --- ablation benchmarks (choices the paper leaves open) ---
 
 // BenchmarkAblationPolicies compares adaptive selectors on the Figure 5(d)
 // success metric. Measured: diagonal balancing far outperforms the extreme

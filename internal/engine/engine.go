@@ -70,15 +70,20 @@ func canceled(ctx context.Context) error {
 // pair. The fault set must not be mutated after the snapshot is built;
 // NewSnapshot clones its input to enforce that.
 //
-// Two serving-side caches hang off each snapshot and are invalidated for
-// free by snapshot replacement: a pool of routing.Scratch walk buffers
-// (one borrowed per in-flight route, one pinned per batch worker) and the
-// lazily-filled spath.Oracle distance-field cache.
+// A snapshot serves from a pool of routing.Scratch walk buffers (one
+// borrowed per in-flight route, one pinned per batch worker) and from the
+// lazily-filled spath.Oracle distance-field cache, which snapshot
+// replacement invalidates for free. Scratches depend only on the mesh
+// shape, so every snapshot a Router publishes shares the router's one
+// pool, and scratches stay warm across publications. The pool is held by
+// pointer: a pool embedded in the snapshot would keep the retired
+// snapshot reachable, through the runtime's pool registry, for two more
+// GC cycles.
 type Snapshot struct {
 	faults   *fault.Set
 	analysis *routing.Analysis
 	version  uint64
-	scratch  sync.Pool
+	scratch  *sync.Pool
 	oracle   *spath.Oracle
 	metrics  Metrics
 
@@ -98,6 +103,7 @@ func NewSnapshot(f *fault.Set, opts Options) *Snapshot {
 	return &Snapshot{
 		faults:   frozen,
 		analysis: a,
+		scratch:  new(sync.Pool),
 		oracle:   spath.NewOracle(frozen, opts.OracleBound),
 		metrics:  opts.Metrics,
 	}
@@ -128,7 +134,8 @@ func (s *Snapshot) Oracle() *spath.Oracle { return s.oracle }
 // (0 for snapshots built directly via NewSnapshot).
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// getScratch borrows a walk scratch from the snapshot's pool.
+// getScratch borrows a walk scratch from the snapshot's pool, which
+// router-built snapshots share.
 func (s *Snapshot) getScratch() *routing.Scratch {
 	if sc, ok := s.scratch.Get().(*routing.Scratch); ok {
 		return sc
@@ -278,6 +285,7 @@ func (r *Router) buildSnapshotLocked(f *fault.Set) *Snapshot {
 	adds, repairs := fault.Diff(prev.faults, frozen)
 	s := &Snapshot{
 		faults:   frozen,
+		scratch:  prev.scratch,
 		metrics:  r.opts.Metrics,
 		delta:    Delta{Adds: adds, Repairs: repairs},
 		hasDelta: true,
@@ -306,12 +314,14 @@ func New(f *fault.Set, opts Options) *Router {
 		panic("engine: Options.Routing.Rng must be nil (it would race across goroutines)")
 	}
 	if opts.Routing.Scratch != nil {
-		panic("engine: Options.Routing.Scratch must be nil (it would race across goroutines; the engine pools scratches per snapshot itself)")
+		panic("engine: Options.Routing.Scratch must be nil (it would race across goroutines; the engine pools scratches itself)")
 	}
 	r := &Router{opts: opts}
 	if opts.StartVersion > 0 {
 		r.vers.Store(opts.StartVersion - 1)
 	}
+	// The initial snapshot's scratch pool becomes the router's:
+	// buildSnapshotLocked hands it on to every later snapshot.
 	s := NewSnapshot(f, opts)
 	// Thread the router-owned counters into the initial oracle so every
 	// rebased generation keeps accumulating into the same pair.

@@ -30,6 +30,7 @@ package info
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/labeling"
 	"repro/internal/mcc"
@@ -118,47 +119,32 @@ type Relation struct {
 }
 
 // Store holds the outcome of one information model's propagation over one
-// labeled (canonical-orientation) mesh.
+// labeled (canonical-orientation) mesh. It is immutable once Build or
+// Rebuild returns.
 type Store struct {
 	model Model
 	m     mesh.Mesh
-	grid  *labeling.Grid
 	set   *mcc.Set
 
-	triples [][]Triple // per node index
+	// The triples of node idx are arena[off[idx]:off[idx+1]], in deposit
+	// order: one exactly sized table, with no slice header per node.
+	arena []Triple
+	off   []int32
 	// relations, keyed by predecessor MCC ID, per axis. Globally indexed:
 	// the protocol distributes the records along every boundary of the
 	// participating components, so any node holding the component's triple
-	// may consult them (see the B3 discussion in DESIGN.md).
+	// may consult them.
 	succOfY map[int][]*mcc.MCC
 	succOfX map[int][]*mcc.MCC
 
-	visited      []bool // propagation participants (Figure 5(c) numerator)
-	participants int
+	participants int // propagation participants (Figure 5(c) numerator)
 	messages     int64
-
-	// seedLog, when non-nil, collects the positions of accepted deposits.
-	// Build points it at a per-walk buffer so B2's flood can seed from the
-	// boundary deposits directly instead of scanning every node's triple
-	// list for them — the scan made Build Θ(components·nodes) and
-	// dominated full precompute on large meshes.
-	seedLog *[]mesh.Coord
 
 	// logs[id] records component id's full contribution (footprint,
 	// deposits, relations, accounting) so Rebuild can replay it verbatim
-	// when a fault delta provably cannot have changed it. cur points at
-	// the log of the component whose stages are currently executing.
+	// when a fault delta provably cannot have changed it. The tables above
+	// are derived from the logs alone.
 	logs []*compLog
-	cur  *compLog
-
-	// dedupStamp/dedupMask, when non-nil, replace the triple table as
-	// deposit's dedup device (newStoreDeferred): within one component's
-	// stage the triple F is fixed, so a per-node kind bitmask stamped
-	// with the component's epoch decides acceptance in O(1) without a
-	// materialized table. Rebuild nils both once assembled.
-	dedupStamp []uint32
-	dedupMask  []uint8
-	dedupEpoch uint32
 }
 
 // depRec is one accepted deposit of the logging component: the triple's F
@@ -177,12 +163,13 @@ type relRec struct {
 }
 
 // compLog is the exact contribution of one component's propagation
-// stages. The walks derive every decision from the component's own shape,
+// stage. The walks derive every decision from the component's own shape,
 // the shapes of the components they intersect (reads), and the safe
 // status of the positions they touch (footprint); if none of those
-// changed across a fault delta, replaying the log reproduces the stages
-// bit for bit — deposits and relations are logged post-dedup, so replay
-// is pure appends.
+// changed across a fault delta, replaying the log reproduces the stage
+// bit for bit. Footprint and visits are read only as sets, so each holds
+// a position once; deposits and relations are logged post-dedup, so
+// replay is pure appends.
 type compLog struct {
 	footprint []int32    // in-mesh positions whose safe/membership status was consulted
 	visits    []int32    // safe positions visited (participants accounting)
@@ -190,40 +177,6 @@ type compLog struct {
 	reads     []*mcc.MCC // components whose shape the walks consulted
 	relations []relRec   // accepted relation records, in order
 	messages  int64      // link crossings charged
-}
-
-func newStore(model Model, set *mcc.Set) *Store {
-	m := set.Grid().Mesh()
-	return &Store{
-		model:   model,
-		m:       m,
-		grid:    set.Grid(),
-		set:     set,
-		triples: make([][]Triple, m.Nodes()),
-		succOfY: make(map[int][]*mcc.MCC),
-		succOfX: make(map[int][]*mcc.MCC),
-		visited: make([]bool, m.Nodes()),
-	}
-}
-
-// newStoreDeferred is newStore minus the dynamic triple table: deposits
-// dedup through the epoch stamps and land only in the component logs;
-// assembleTriples materializes the table once, exactly sized, at the
-// end. Rebuild uses this — the per-deposit append churn of a dynamic
-// table was the dominant cost of replaying a large store.
-func newStoreDeferred(model Model, set *mcc.Set) *Store {
-	m := set.Grid().Mesh()
-	return &Store{
-		model:      model,
-		m:          m,
-		grid:       set.Grid(),
-		set:        set,
-		succOfY:    make(map[int][]*mcc.MCC),
-		succOfX:    make(map[int][]*mcc.MCC),
-		visited:    make([]bool, m.Nodes()),
-		dedupStamp: make([]uint32, m.Nodes()),
-		dedupMask:  make([]uint8, m.Nodes()),
-	}
 }
 
 // Model returns which information model built the store.
@@ -237,7 +190,12 @@ func (s *Store) TriplesAt(u mesh.Coord) []Triple {
 	if !s.m.In(u) {
 		return nil
 	}
-	return s.triples[s.m.Index(u)]
+	idx := s.m.Index(u)
+	lo, hi := s.off[idx], s.off[idx+1]
+	if lo == hi {
+		return nil
+	}
+	return s.arena[lo:hi:hi]
 }
 
 // HasInfo reports whether node u holds any boundary information — the
@@ -256,172 +214,225 @@ func (s *Store) Participants() int { return s.participants }
 // Messages returns the number of link crossings of the propagation.
 func (s *Store) Messages() int64 { return s.messages }
 
-// visit records a node as touched by the propagation and charges one link
-// crossing (hop == true) when the visit came over a link. Only safe nodes
-// count as participants: Figure 5(c)'s ratio is over the safe population,
-// and an unsafe position on an idealized relay segment is not a node that
-// does protocol work.
-func (s *Store) visit(c mesh.Coord, hop bool) {
-	if hop {
-		s.messages++
-		if s.cur != nil {
-			s.cur.messages++
-		}
-	}
-	if !s.m.In(c) {
-		return
-	}
-	idx := s.m.Index(c)
-	if s.cur != nil {
-		s.cur.footprint = append(s.cur.footprint, int32(idx))
-	}
-	if !s.grid.Safe(c) {
-		return
-	}
-	if s.cur != nil {
-		s.cur.visits = append(s.cur.visits, int32(idx))
-	}
-	if !s.visited[idx] {
-		s.visited[idx] = true
-		s.participants++
-	}
-}
-
-// safeAt is grid.Safe with footprint logging, for safety consultations
-// that happen outside visit/deposit (the flood relay check).
-func (s *Store) safeAt(c mesh.Coord) bool {
-	if s.cur != nil && s.m.In(c) {
-		s.cur.footprint = append(s.cur.footprint, int32(s.m.Index(c)))
-	}
-	return s.grid.Safe(c)
-}
-
-// readComp records that the current component's walk consulted g's shape.
-func (s *Store) readComp(g *mcc.MCC) {
-	if s.cur == nil || g == nil {
-		return
-	}
-	for _, have := range s.cur.reads {
-		if have == g {
-			return
-		}
-	}
-	s.cur.reads = append(s.cur.reads, g)
-}
-
-// deposit stores a triple at c unless an identical one is already present
-// (nodes "will not accept duplicates from their neighbors").
-func (s *Store) deposit(c mesh.Coord, t Triple) {
-	if !s.m.In(c) || !s.grid.Safe(c) {
-		return
-	}
-	idx := s.m.Index(c)
-	if s.dedupStamp != nil {
-		// Deferred-table mode: F is the walking component for the whole
-		// epoch, so (node, kind) decides equality.
-		bit := uint8(1) << t.Kind
-		if s.dedupStamp[idx] == s.dedupEpoch {
-			if s.dedupMask[idx]&bit != 0 {
-				return
-			}
-		} else {
-			s.dedupStamp[idx] = s.dedupEpoch
-			s.dedupMask[idx] = 0
-		}
-		s.dedupMask[idx] |= bit
-	} else {
-		for _, have := range s.triples[idx] {
-			if have == t {
-				return
-			}
-		}
-		s.triples[idx] = append(s.triples[idx], t)
-	}
-	// Footprint is not re-logged here: every deposit site was visited by
-	// the same component immediately before (walks pair visit+deposit, and
-	// flood seeds were boundary deposit sites), so visit already recorded
-	// the position.
-	if s.cur != nil {
-		s.cur.deposits = append(s.cur.deposits, depRec{idx: int32(idx), kind: t.Kind})
-	}
-	if s.seedLog != nil {
-		*s.seedLog = append(*s.seedLog, c)
-	}
-}
-
-// addRelation records pred -> succ for the given axis, deduplicated.
-func (s *Store) addRelation(pred, succ *mcc.MCC, typeII bool) {
-	tbl := s.succOfY
-	if typeII {
-		tbl = s.succOfX
-	}
-	for _, have := range tbl[pred.ID] {
-		if have == succ {
-			return
-		}
-	}
-	tbl[pred.ID] = append(tbl[pred.ID], succ)
-	if s.cur != nil {
-		s.cur.relations = append(s.cur.relations, relRec{pred: pred, typeII: typeII})
-	}
-}
-
 // Build constructs the chosen information model over an MCC set. Every
 // component's contribution is logged as it executes, so a later Rebuild
 // against a fault delta can replay untouched components instead of
 // re-walking them.
 func Build(model Model, set *mcc.Set) *Store {
-	s := newStore(model, set)
-	s.logs = make([]*compLog, set.Len())
-	for i := range s.logs {
-		s.logs[i] = &compLog{}
-	}
-	for _, f := range set.All() {
-		s.cur = s.logs[f.ID]
-		s.identificationWalks(f)
-	}
-	var seeds seedBufs // reused across components under B2
-	for _, f := range set.All() {
-		s.cur = s.logs[f.ID]
-		s.buildComp(f, &seeds)
-	}
-	s.cur = nil
-	return s
+	return buildWith(model, set, make([]*compLog, set.Len()))
 }
 
-// seedBufs holds the reusable flood-seed buffers of the B2 build loop.
-type seedBufs struct {
-	y, x []mesh.Coord
+// buildWith is the one construction path of Build and Rebuild: it runs the
+// stage of every component whose logs entry is nil, in ID order, then
+// derives the store's tables from the logs. A replayed log therefore
+// lands exactly where re-walking its component would have put it.
+func buildWith(model Model, set *mcc.Set, logs []*compLog) *Store {
+	m := set.Grid().Mesh()
+	b := &builder{
+		Store: &Store{model: model, m: m, set: set, logs: logs},
+		grid:  set.Grid(),
+		stamp: make([]uint32, m.Nodes()),
+		mask:  make([]uint8, m.Nodes()),
+	}
+	for _, f := range set.All() {
+		if logs[f.ID] == nil {
+			logs[f.ID] = b.stage(f)
+		}
+	}
+	b.assemble()
+	return b.Store
 }
 
-// buildComp runs the boundary (and, under B2, flood) stage for one
-// component — the per-component unit Build executes in ID order and
-// Rebuild either re-executes or replays from its log.
-func (s *Store) buildComp(f *mcc.MCC, seeds *seedBufs) {
-	s.dedupEpoch++
-	switch s.model {
+// builder carries one build's scratch: per-node marks of the current
+// stage and the stage's log buffers, both reused across components.
+type builder struct {
+	*Store
+	grid *labeling.Grid
+	// mask[idx] holds node idx's marks for the current stage and is valid
+	// only while stamp[idx] == epoch, so opening a stage is one counter
+	// bump rather than an O(nodes) clear.
+	stamp []uint32
+	mask  []uint8
+	epoch uint32
+	// lg collects the current stage's log; stage copies it out at exact
+	// size.
+	lg compLog
+	// lim and queue are the flood's region thresholds and BFS queue.
+	lim   []int32
+	queue []int32
+}
+
+// Stage marks of a node. Bits 0-3 record a deposited triple of Kind k
+// (1<<k).
+const (
+	markFootprint uint8 = 1 << (4 + iota) // logged in the stage footprint
+	markVisit                             // logged in the stage visits
+	markSeenY                             // reached by the R_Y flood
+	markSeenX                             // reached by the R_X flood
+)
+
+// mark sets bit among node idx's stage marks and reports whether it was
+// clear.
+func (b *builder) mark(idx int, bit uint8) bool {
+	if b.stamp[idx] != b.epoch {
+		b.stamp[idx] = b.epoch
+		b.mask[idx] = bit
+		return true
+	}
+	if b.mask[idx]&bit != 0 {
+		return false
+	}
+	b.mask[idx] |= bit
+	return true
+}
+
+// stage runs component f's whole propagation — identification walks,
+// boundary lines and, under B2, the floods — and returns its log.
+func (b *builder) stage(f *mcc.MCC) *compLog {
+	b.epoch++
+	b.lg = compLog{
+		footprint: b.lg.footprint[:0],
+		visits:    b.lg.visits[:0],
+		deposits:  b.lg.deposits[:0],
+		reads:     b.lg.reads[:0],
+		relations: b.lg.relations[:0],
+	}
+	b.identificationWalks(f)
+	switch b.model {
 	case B1:
-		s.boundaryMinusX(f, false)
-		s.boundaryMinusY(f, false)
+		b.boundaryMinusX(f, false)
+		b.boundaryMinusY(f, false)
 	case B2:
-		// Log each boundary pair's deposit positions: they are exactly
-		// the nodes holding f's triples when the floods run, i.e. the
-		// flood seeds.
-		seedsY, seedsX := seeds.y[:0], seeds.x[:0]
-		s.seedLog = &seedsY
-		joinedX := s.boundaryMinusX(f, false)
-		s.seedLog = &seedsX
-		joinedY := s.boundaryMinusY(f, false)
-		s.seedLog = &seedsY
-		joinedX = append(joinedX, s.boundaryPlusX(f)...)
-		s.seedLog = &seedsX
-		joinedY = append(joinedY, s.boundaryPlusY(f)...)
-		s.seedLog = nil
-		s.floodForbiddenY(f, joinedX, seedsY)
-		s.floodForbiddenX(f, joinedY, seedsX)
-		seeds.y, seeds.x = seedsY, seedsX
+		joinedX := b.boundaryMinusX(f, false)
+		joinedY := b.boundaryMinusY(f, false)
+		joinedX = append(joinedX, b.boundaryPlusX(f)...)
+		joinedY = append(joinedY, b.boundaryPlusY(f)...)
+		// The boundary deposits are exactly the nodes holding f's
+		// triples when the floods start: the flood seeds.
+		seeds := len(b.lg.deposits)
+		b.flood(f, joinedX, seeds, floodY)
+		b.flood(f, joinedY, seeds, floodX)
 	case B3:
-		s.boundaryMinusX(f, true)
-		s.boundaryMinusY(f, true)
+		b.boundaryMinusX(f, true)
+		b.boundaryMinusY(f, true)
+	}
+	return &compLog{
+		footprint: slices.Clone(b.lg.footprint),
+		visits:    slices.Clone(b.lg.visits),
+		deposits:  slices.Clone(b.lg.deposits),
+		reads:     slices.Clone(b.lg.reads),
+		relations: slices.Clone(b.lg.relations),
+		messages:  b.lg.messages,
+	}
+}
+
+// visit records a node as touched by the propagation and charges one link
+// crossing (hop == true) when the visit came over a link. Only safe nodes
+// count as participants: Figure 5(c)'s ratio is over the safe population,
+// and an unsafe position on an idealized relay segment is not a node that
+// does protocol work.
+func (b *builder) visit(c mesh.Coord, hop bool) {
+	if hop {
+		b.lg.messages++
+	}
+	if !b.m.In(c) {
+		return
+	}
+	idx := b.m.Index(c)
+	b.logFootprint(idx)
+	if b.grid.Safe(c) {
+		b.logVisit(idx)
+	}
+}
+
+func (b *builder) logFootprint(idx int) {
+	if b.mark(idx, markFootprint) {
+		b.lg.footprint = append(b.lg.footprint, int32(idx))
+	}
+}
+
+func (b *builder) logVisit(idx int) {
+	if b.mark(idx, markVisit) {
+		b.lg.visits = append(b.lg.visits, int32(idx))
+	}
+}
+
+// readComp records that the current component's walk consulted g's shape.
+func (b *builder) readComp(g *mcc.MCC) {
+	if g != nil && !slices.Contains(b.lg.reads, g) {
+		b.lg.reads = append(b.lg.reads, g)
+	}
+}
+
+// deposit stores the walking component's triple of kind k at c unless it
+// is already there (nodes "will not accept duplicates from their
+// neighbors"). Only the walking component's stage deposits its triples,
+// so the stage's kind marks decide duplicates. The footprint is not
+// re-logged: every deposit site was visited by the same stage
+// immediately before.
+func (b *builder) deposit(c mesh.Coord, k Kind) {
+	if b.grid.Safe(c) {
+		b.depositAt(b.m.Index(c), k)
+	}
+}
+
+// depositAt is deposit at a safe node's index.
+func (b *builder) depositAt(idx int, k Kind) {
+	if b.mark(idx, 1<<k) {
+		b.lg.deposits = append(b.lg.deposits, depRec{idx: int32(idx), kind: k})
+	}
+}
+
+// addRelation records pred -> the walking component for the given axis,
+// deduplicated.
+func (b *builder) addRelation(pred *mcc.MCC, typeII bool) {
+	r := relRec{pred: pred, typeII: typeII}
+	if !slices.Contains(b.lg.relations, r) {
+		b.lg.relations = append(b.lg.relations, r)
+	}
+}
+
+// assemble derives the store's tables from the component logs, walked in
+// ID order: the accounting, the relation tables, and the triple table,
+// filled by a counting sort into one exactly sized arena.
+func (b *builder) assemble() {
+	s := b.Store
+	s.succOfY = make(map[int][]*mcc.MCC)
+	s.succOfX = make(map[int][]*mcc.MCC)
+	s.off = make([]int32, s.m.Nodes()+1)
+	b.epoch++ // fresh marks count each participant once
+	for _, f := range s.set.All() {
+		lg := s.logs[f.ID]
+		s.messages += lg.messages
+		for _, idx := range lg.visits {
+			if b.mark(int(idx), markVisit) {
+				s.participants++
+			}
+		}
+		for _, r := range lg.relations {
+			tbl := s.succOfY
+			if r.typeII {
+				tbl = s.succOfX
+			}
+			tbl[r.pred.ID] = append(tbl[r.pred.ID], f)
+		}
+		for _, d := range lg.deposits {
+			s.off[d.idx]++
+		}
+	}
+	// off[idx] becomes the end of idx's run; filling in reverse deposit
+	// order then walks every end back to its run's start.
+	for idx := 1; idx < len(s.off); idx++ {
+		s.off[idx] += s.off[idx-1]
+	}
+	s.arena = make([]Triple, s.off[len(s.off)-1])
+	all := s.set.All()
+	for i := len(all) - 1; i >= 0; i-- {
+		deps := s.logs[all[i].ID].deposits
+		for j := len(deps) - 1; j >= 0; j-- {
+			d := deps[j]
+			s.off[d.idx]--
+			s.arena[s.off[d.idx]] = Triple{F: all[i], Kind: d.kind}
+		}
 	}
 }

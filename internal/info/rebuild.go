@@ -24,29 +24,25 @@ import (
 //   - every component whose shape it read also survived.
 //
 // Under those conditions the walk would re-execute identically, so its
-// accepted deposits, relations, visits, and message count are appended
-// verbatim (with component pointers remapped to the new set). Replays
-// and fresh walks interleave in new-ID order, which is exactly Build's
-// deposit order, so triple lists and relation tables come out in the
-// same order a from-scratch Build would produce — routing behavior that
-// is order-sensitive (findSequenceB3 tie-breaks) sees no difference.
-// prev is never mutated; replayed logs are shared read-only.
+// log is reused verbatim (with component pointers remapped to the new
+// set). Build and Rebuild share one construction path that derives every
+// table from the logs in new-ID order, so triple lists and relation
+// tables come out in the order a from-scratch Build produces — routing
+// behavior that is order-sensitive (findSequenceB3 tie-breaks) sees no
+// difference. prev is never mutated; replayed logs are shared read-only.
 func Rebuild(prev *Store, set *mcc.Set, carried map[*mcc.MCC]*mcc.MCC, flipped []mesh.Coord) *Store {
-	s := newStoreDeferred(prev.model, set)
-	s.logs = make([]*compLog, set.Len())
-
-	dirty := make([]bool, s.m.Nodes())
+	dirty := make([]bool, prev.m.Nodes())
 	for _, c := range flipped {
-		dirty[s.m.Index(c)] = true
+		dirty[prev.m.Index(c)] = true
 	}
 	reverse := make(map[*mcc.MCC]*mcc.MCC, len(carried)) // new -> old
 	for old, nw := range carried {
 		reverse[nw] = old
 	}
-	replay := make([]*compLog, set.Len())
+	logs := make([]*compLog, set.Len())
 	for _, f := range set.All() {
 		old := reverse[f]
-		if old == nil || prev.logs == nil || prev.logs[old.ID] == nil {
+		if old == nil {
 			continue
 		}
 		lg := prev.logs[old.ID]
@@ -66,79 +62,10 @@ func Rebuild(prev *Store, set *mcc.Set, carried map[*mcc.MCC]*mcc.MCC, flipped [
 			}
 		}
 		if ok {
-			replay[f.ID] = remapLog(lg, carried)
+			logs[f.ID] = remapLog(lg, carried)
 		}
 	}
-
-	// Identification walks for re-walked components only; a replayed log
-	// already folds its identification visits and messages in, and the
-	// totals are order-independent, so merging them during the boundary
-	// pass below reproduces Build's two-loop accounting exactly.
-	for _, f := range set.All() {
-		if replay[f.ID] != nil {
-			continue
-		}
-		s.logs[f.ID] = &compLog{}
-		s.cur = s.logs[f.ID]
-		s.identificationWalks(f)
-	}
-	var seeds seedBufs
-	for _, f := range set.All() {
-		if lg := replay[f.ID]; lg != nil {
-			s.logs[f.ID] = lg
-			s.replayMeta(f, lg)
-			continue
-		}
-		s.cur = s.logs[f.ID]
-		s.buildComp(f, &seeds)
-	}
-	s.cur = nil
-	s.assembleTriples()
-	s.dedupStamp, s.dedupMask = nil, nil // dedup scratch must not outlive the build
-	return s
-}
-
-// assembleTriples materializes the triple table from the component
-// logs, walked in stage order — Build's exact deposit order — backed by
-// a single arena sized from the logged totals. Nothing touched a
-// dynamic table during the walks (deposits deduped via the epoch
-// stamps and landed only in the logs), so this is the store's sole
-// per-deposit pass. A node absent from every log was deposited by
-// nobody and keeps its nil entry.
-func (s *Store) assembleTriples() {
-	cnt := make([]int32, s.m.Nodes())
-	total := 0
-	for _, lg := range s.logs {
-		total += len(lg.deposits)
-		for _, d := range lg.deposits {
-			cnt[d.idx]++
-		}
-	}
-	arena := make([]Triple, total)
-	// Fill through a compact cursor array — the random-access inner loop
-	// then touches 4-byte cursors instead of 24-byte slice headers — and
-	// set the headers in one sequential pass at the end.
-	cur := make([]int32, s.m.Nodes())
-	sum := int32(0)
-	for idx, c := range cnt {
-		cur[idx] = sum
-		sum += c
-	}
-	for _, f := range s.set.All() {
-		for _, d := range s.logs[f.ID].deposits {
-			arena[cur[d.idx]] = Triple{F: f, Kind: d.kind}
-			cur[d.idx]++
-		}
-	}
-	tr := make([][]Triple, s.m.Nodes())
-	s.triples = tr
-	start := int32(0)
-	for idx, c := range cnt {
-		if c != 0 {
-			tr[idx] = arena[start : start+c : start+c]
-		}
-		start += c
-	}
+	return buildWith(prev.model, set, logs)
 }
 
 // remapLog rewrites a reusable log's component pointers into the new set
@@ -161,25 +88,4 @@ func remapLog(lg *compLog, carried map[*mcc.MCC]*mcc.MCC) *compLog {
 		}
 	}
 	return nl
-}
-
-// replayMeta applies one component's logged contribution minus its
-// deposits, which assembleTriples materializes for all components at
-// once. Relations were logged post-dedup and the successor of every
-// record is the walking component itself, so replay is append-only.
-func (s *Store) replayMeta(f *mcc.MCC, lg *compLog) {
-	s.messages += lg.messages
-	for _, idx := range lg.visits {
-		if !s.visited[idx] {
-			s.visited[idx] = true
-			s.participants++
-		}
-	}
-	for _, r := range lg.relations {
-		tbl := s.succOfY
-		if r.typeII {
-			tbl = s.succOfX
-		}
-		tbl[r.pred.ID] = append(tbl[r.pred.ID], f)
-	}
 }

@@ -21,8 +21,8 @@ func storesEqual(t *testing.T, got, want *Store) {
 	if got.messages != want.messages {
 		t.Fatalf("messages %d, want %d", got.messages, want.messages)
 	}
-	for idx := range want.triples {
-		g, w := got.triples[idx], want.triples[idx]
+	for idx := 0; idx < want.m.Nodes(); idx++ {
+		g, w := got.TriplesAt(want.m.CoordOf(idx)), want.TriplesAt(want.m.CoordOf(idx))
 		if len(g) != len(w) {
 			t.Fatalf("node %d: %d triples, want %d", idx, len(g), len(w))
 		}
@@ -58,18 +58,25 @@ func storesEqual(t *testing.T, got, want *Store) {
 // TestRebuildMatchesBuild drives random fault deltas through the full
 // incremental chain (labeling.Update -> mcc.UpdateSet -> Rebuild) and
 // checks the rebuilt store is identical to a from-scratch Build at every
-// step, for all three models and both border policies.
+// step, for all three models and both border policies. The last trials
+// are dense (24x24 at 15-25% faults), so floods cross joined regions and
+// a delta replays some components while re-walking their neighbors.
 func TestRebuildMatchesBuild(t *testing.T) {
 	for _, model := range []Model{B1, B2, B3} {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			for _, policy := range []labeling.BorderPolicy{labeling.BorderSafe, labeling.BorderFaulty} {
 				rng := rand.New(rand.NewSource(0xb0b + int64(model)))
-				for trial := 0; trial < 12; trial++ {
+				for trial := 0; trial < 15; trial++ {
 					w, h := 5+rng.Intn(14), 5+rng.Intn(14)
+					faults := rng.Intn(6)
+					if trial >= 12 {
+						w, h = 24, 24
+						faults = w * h * (15 + rng.Intn(11)) / 100
+					}
 					m := mesh.New(w, h)
 					f := fault.NewSet(m)
-					for n := rng.Intn(6); n > 0; n-- {
+					for n := faults; n > 0; n-- {
 						f.Add(mesh.C(rng.Intn(w), rng.Intn(h)))
 					}
 					grid := labeling.Compute(f, policy)

@@ -26,20 +26,21 @@ import (
 //   - -Y/+Y boundaries: exact transposes, west along y = y_c / y = y_{c'}.
 //
 // Contour positions can be occupied by yet another component in dense
-// fields; the walk then deposits nothing at that position but continues
-// (the message is relayed around the obstruction; see DESIGN.md for why
-// this idealization does not affect the measured quantities).
+// fields; the walk then deposits nothing at that position but continues,
+// as if the message were relayed around the obstruction: the hop is
+// charged as one link crossing, and the unsafe position never counts as a
+// participant (see visit).
 
 // identificationWalks models Algorithm 1 steps 1-2: two messages walk the
 // edge ring c -> c' and the identified shape returns c' -> c. Four contour
 // traversals are charged; no information is deposited (the boundary lines
 // do that).
-func (s *Store) identificationWalks(f *mcc.MCC) {
+func (b *builder) identificationWalks(f *mcc.MCC) {
 	nw := contourNW(f)
 	se := contourSE(f)
 	for _, pass := range [][]mesh.Coord{nw, se, nw, se} {
 		for i, c := range pass {
-			s.visit(c, i > 0)
+			b.visit(c, i > 0)
 		}
 	}
 }
@@ -96,15 +97,15 @@ func contourSE(f *mcc.MCC) []mesh.Coord {
 // component's +X boundary — and records succeeding-MCC relations for
 // type-II sequences. It returns the components whose boundaries were
 // joined (input to B2's flood).
-func (s *Store) boundaryMinusX(f *mcc.MCC, b3 bool) []*mcc.MCC {
+func (b *builder) boundaryMinusX(f *mcc.MCC, b3 bool) []*mcc.MCC {
 	var joined []*mcc.MCC
-	t := Triple{F: f, Kind: RYMinusX}
+	k := RYMinusX
 	c := f.Corner()
-	if !s.m.In(c) {
+	if !b.m.In(c) {
 		return nil // component touches the west or south border: no line
 	}
-	s.visit(c, false)
-	s.deposit(c, t)
+	b.visit(c, false)
+	b.deposit(c, k)
 	x, y := c.X, c.Y
 	first := true
 	for {
@@ -113,11 +114,11 @@ func (s *Store) boundaryMinusX(f *mcc.MCC, b3 bool) []*mcc.MCC {
 			return joined
 		}
 		pos := mesh.C(x, y)
-		s.visit(pos, true)
-		g := s.set.At(pos)
-		s.readComp(g)
+		b.visit(pos, true)
+		g := b.set.At(pos)
+		b.readComp(g)
 		if g == nil {
-			s.deposit(pos, t)
+			b.deposit(pos, k)
 			continue
 		}
 		// Intersection: under Algorithm 6 the first intersection records a
@@ -127,20 +128,20 @@ func (s *Store) boundaryMinusX(f *mcc.MCC, b3 bool) []*mcc.MCC {
 		// paper's literal corner inequality is replaced by the structural
 		// test).
 		if b3 && first {
-			if s.set.IsSuccessorY(g, f) {
-				s.addRelation(g, f, false)
+			if b.set.IsSuccessorY(g, f) {
+				b.addRelation(g, false)
 			}
-			if s.set.IsSuccessorX(g, f) {
-				s.addRelation(g, f, true)
+			if b.set.IsSuccessorX(g, f) {
+				b.addRelation(g, true)
 			}
 		}
 		first = false
 		joined = append(joined, g)
 		if b3 {
-			s.splitJoinPlusX(f, g, x)
+			b.splitJoinPlusX(f, g, x)
 		}
 		// Join g's -X boundary: west along g's top, down its west side.
-		nx, ny, ok := s.traverseTopWest(t, g, x)
+		nx, ny, ok := b.traverseTopWest(k, g, x)
 		if !ok {
 			return joined
 		}
@@ -150,30 +151,30 @@ func (s *Store) boundaryMinusX(f *mcc.MCC, b3 bool) []*mcc.MCC {
 
 // traverseTopWest walks from the top of component g at column fromX
 // westward along g's top staircase and down its west side to g's corner,
-// depositing t. It returns the corner position, or ok=false when the walk
+// depositing kind k. It returns the corner position, or ok=false when the walk
 // left the mesh.
-func (s *Store) traverseTopWest(t Triple, g *mcc.MCC, fromX int) (x, y int, ok bool) {
+func (b *builder) traverseTopWest(k Kind, g *mcc.MCC, fromX int) (x, y int, ok bool) {
 	y = g.ColHi[fromX-g.X0] + 1
 	// (fromX, y) was already visited as the intersection approach.
 	for cx := fromX - 1; cx >= g.X0-1; cx-- {
 		if cx >= g.X0 {
 			// Descend to this column's top height, then step west.
 			for ; y > g.ColHi[cx-g.X0]+1; y-- {
-				s.visit(mesh.C(cx+1, y-1), true)
-				s.deposit(mesh.C(cx+1, y-1), t)
+				b.visit(mesh.C(cx+1, y-1), true)
+				b.deposit(mesh.C(cx+1, y-1), k)
 			}
 		}
 		if cx < 0 {
 			return 0, 0, false
 		}
-		s.visit(mesh.C(cx, y), true)
-		s.deposit(mesh.C(cx, y), t)
+		b.visit(mesh.C(cx, y), true)
+		b.deposit(mesh.C(cx, y), k)
 	}
 	// Down the west side to the corner.
 	x = g.X0 - 1
 	for ; y > g.ColLo[0]-1; y-- {
-		s.visit(mesh.C(x, y-1), true)
-		s.deposit(mesh.C(x, y-1), t)
+		b.visit(mesh.C(x, y-1), true)
+		b.deposit(mesh.C(x, y-1), k)
 	}
 	if y < 0 {
 		return 0, 0, false
@@ -185,56 +186,56 @@ func (s *Store) traverseTopWest(t Triple, g *mcc.MCC, fromX int) (x, y int, ok b
 // shape around the intersected component g the other way — east along g's
 // top staircase to g's opposite corner — and then continues as a +X
 // boundary south along x = x_{g'}.
-func (s *Store) splitJoinPlusX(f, g *mcc.MCC, fromX int) {
-	t := Triple{F: f, Kind: RYPlusX}
+func (b *builder) splitJoinPlusX(f, g *mcc.MCC, fromX int) {
+	k := RYPlusX
 	y := g.ColHi[fromX-g.X0] + 1
 	for cx := fromX + 1; cx <= g.X1; cx++ {
 		// Climb to the next column's top height, then step east.
 		for ; y < g.ColHi[cx-g.X0]+1; y++ {
-			s.visit(mesh.C(cx-1, y+1), true)
-			s.deposit(mesh.C(cx-1, y+1), t)
+			b.visit(mesh.C(cx-1, y+1), true)
+			b.deposit(mesh.C(cx-1, y+1), k)
 		}
-		s.visit(mesh.C(cx, y), true)
-		s.deposit(mesh.C(cx, y), t)
+		b.visit(mesh.C(cx, y), true)
+		b.deposit(mesh.C(cx, y), k)
 	}
 	x := g.X1 + 1
-	if x >= s.m.Width() {
+	if x >= b.m.Width() {
 		return
 	}
-	s.visit(mesh.C(x, y), true)
-	s.deposit(mesh.C(x, y), t)
-	s.plusXFrom(f, x, y)
+	b.visit(mesh.C(x, y), true)
+	b.deposit(mesh.C(x, y), k)
+	b.plusXFrom(f, x, y)
 }
 
 // boundaryPlusX builds the +X boundary of f (Algorithm 4 step 2): south
 // from the opposite corner along x = x_{c'}, always joining the +X
 // boundary of intersected components at their opposite corners. Returns the
 // joined components.
-func (s *Store) boundaryPlusX(f *mcc.MCC) []*mcc.MCC {
+func (b *builder) boundaryPlusX(f *mcc.MCC) []*mcc.MCC {
 	c := f.Opposite()
-	if !s.m.In(c) {
+	if !b.m.In(c) {
 		return nil
 	}
-	s.visit(c, false)
-	s.deposit(c, Triple{F: f, Kind: RYPlusX})
-	return s.plusXFrom(f, c.X, c.Y)
+	b.visit(c, false)
+	b.deposit(c, RYPlusX)
+	return b.plusXFrom(f, c.X, c.Y)
 }
 
 // plusXFrom continues a +X boundary of f southward from (x, y).
-func (s *Store) plusXFrom(f *mcc.MCC, x, y int) []*mcc.MCC {
+func (b *builder) plusXFrom(f *mcc.MCC, x, y int) []*mcc.MCC {
 	var joined []*mcc.MCC
-	t := Triple{F: f, Kind: RYPlusX}
+	k := RYPlusX
 	for {
 		y--
 		if y < 0 {
 			return joined
 		}
 		pos := mesh.C(x, y)
-		s.visit(pos, true)
-		g := s.set.At(pos)
-		s.readComp(g)
+		b.visit(pos, true)
+		g := b.set.At(pos)
+		b.readComp(g)
 		if g == nil {
-			s.deposit(pos, t)
+			b.deposit(pos, k)
 			continue
 		}
 		joined = append(joined, g)
@@ -242,19 +243,19 @@ func (s *Store) plusXFrom(f *mcc.MCC, x, y int) []*mcc.MCC {
 		cy := g.ColHi[x-g.X0] + 1
 		for cx := x + 1; cx <= g.X1; cx++ {
 			for ; cy < g.ColHi[cx-g.X0]+1; cy++ {
-				s.visit(mesh.C(cx-1, cy+1), true)
-				s.deposit(mesh.C(cx-1, cy+1), t)
+				b.visit(mesh.C(cx-1, cy+1), true)
+				b.deposit(mesh.C(cx-1, cy+1), k)
 			}
-			s.visit(mesh.C(cx, cy), true)
-			s.deposit(mesh.C(cx, cy), t)
+			b.visit(mesh.C(cx, cy), true)
+			b.deposit(mesh.C(cx, cy), k)
 		}
 		x = g.X1 + 1
-		if x >= s.m.Width() {
+		if x >= b.m.Width() {
 			return joined
 		}
 		y = cy
-		s.visit(mesh.C(x, y), true)
-		s.deposit(mesh.C(x, y), t)
+		b.visit(mesh.C(x, y), true)
+		b.deposit(mesh.C(x, y), k)
 	}
 }
 
@@ -263,15 +264,15 @@ func (s *Store) plusXFrom(f *mcc.MCC, x, y int) []*mcc.MCC {
 // intersected components (south along their east side, west along their
 // bottom). With b3 set it splits (branch joins the +Y boundary) and records
 // type-I relations.
-func (s *Store) boundaryMinusY(f *mcc.MCC, b3 bool) []*mcc.MCC {
+func (b *builder) boundaryMinusY(f *mcc.MCC, b3 bool) []*mcc.MCC {
 	var joined []*mcc.MCC
-	t := Triple{F: f, Kind: RXMinusY}
+	k := RXMinusY
 	c := f.Corner()
-	if !s.m.In(c) {
+	if !b.m.In(c) {
 		return nil
 	}
-	s.visit(c, false)
-	s.deposit(c, t)
+	b.visit(c, false)
+	b.deposit(c, k)
 	x, y := c.X, c.Y
 	first := true
 	for {
@@ -280,29 +281,29 @@ func (s *Store) boundaryMinusY(f *mcc.MCC, b3 bool) []*mcc.MCC {
 			return joined
 		}
 		pos := mesh.C(x, y)
-		s.visit(pos, true)
-		g := s.set.At(pos)
-		s.readComp(g)
+		b.visit(pos, true)
+		g := b.set.At(pos)
+		b.readComp(g)
 		if g == nil {
-			s.deposit(pos, t)
+			b.deposit(pos, k)
 			continue
 		}
 		// Symmetric relation recording at the westward walk's first
 		// intersection.
 		if b3 && first {
-			if s.set.IsSuccessorY(g, f) {
-				s.addRelation(g, f, false)
+			if b.set.IsSuccessorY(g, f) {
+				b.addRelation(g, false)
 			}
-			if s.set.IsSuccessorX(g, f) {
-				s.addRelation(g, f, true)
+			if b.set.IsSuccessorX(g, f) {
+				b.addRelation(g, true)
 			}
 		}
 		first = false
 		joined = append(joined, g)
 		if b3 {
-			s.splitJoinPlusY(f, g, y)
+			b.splitJoinPlusY(f, g, y)
 		}
-		nx, ny, ok := s.traverseRightSouth(t, g, y)
+		nx, ny, ok := b.traverseRightSouth(k, g, y)
 		if !ok {
 			return joined
 		}
@@ -312,26 +313,26 @@ func (s *Store) boundaryMinusY(f *mcc.MCC, b3 bool) []*mcc.MCC {
 
 // traverseRightSouth walks from the east side of g at row fromY southward
 // along g's right staircase and west along its bottom to g's corner,
-// depositing t — the transpose of traverseTopWest.
-func (s *Store) traverseRightSouth(t Triple, g *mcc.MCC, fromY int) (x, y int, ok bool) {
+// depositing kind k — the transpose of traverseTopWest.
+func (b *builder) traverseRightSouth(k Kind, g *mcc.MCC, fromY int) (x, y int, ok bool) {
 	x = g.RowHi[fromY-g.Y0] + 1
 	for cy := fromY - 1; cy >= g.Y0-1; cy-- {
 		if cy >= g.Y0 {
 			for ; x > g.RowHi[cy-g.Y0]+1; x-- {
-				s.visit(mesh.C(x-1, cy+1), true)
-				s.deposit(mesh.C(x-1, cy+1), t)
+				b.visit(mesh.C(x-1, cy+1), true)
+				b.deposit(mesh.C(x-1, cy+1), k)
 			}
 		}
 		if cy < 0 {
 			return 0, 0, false
 		}
-		s.visit(mesh.C(x, cy), true)
-		s.deposit(mesh.C(x, cy), t)
+		b.visit(mesh.C(x, cy), true)
+		b.deposit(mesh.C(x, cy), k)
 	}
 	y = g.Y0 - 1
 	for ; x > g.RowLo[0]-1; x-- {
-		s.visit(mesh.C(x-1, y), true)
-		s.deposit(mesh.C(x-1, y), t)
+		b.visit(mesh.C(x-1, y), true)
+		b.deposit(mesh.C(x-1, y), k)
 	}
 	if x < 0 {
 		return 0, 0, false
@@ -342,54 +343,54 @@ func (s *Store) traverseRightSouth(t Triple, g *mcc.MCC, fromY int) (x, y int, o
 // splitJoinPlusY is the transposed split branch: f's shape travels north
 // along g's east staircase to g's opposite corner and continues as a +Y
 // boundary west along y = y_{g'}.
-func (s *Store) splitJoinPlusY(f, g *mcc.MCC, fromY int) {
-	t := Triple{F: f, Kind: RXPlusY}
+func (b *builder) splitJoinPlusY(f, g *mcc.MCC, fromY int) {
+	k := RXPlusY
 	x := g.RowHi[fromY-g.Y0] + 1
 	for cy := fromY + 1; cy <= g.Y1; cy++ {
 		for ; x < g.RowHi[cy-g.Y0]+1; x++ {
-			s.visit(mesh.C(x+1, cy-1), true)
-			s.deposit(mesh.C(x+1, cy-1), t)
+			b.visit(mesh.C(x+1, cy-1), true)
+			b.deposit(mesh.C(x+1, cy-1), k)
 		}
-		s.visit(mesh.C(x, cy), true)
-		s.deposit(mesh.C(x, cy), t)
+		b.visit(mesh.C(x, cy), true)
+		b.deposit(mesh.C(x, cy), k)
 	}
 	y := g.Y1 + 1
-	if y >= s.m.Height() {
+	if y >= b.m.Height() {
 		return
 	}
-	s.visit(mesh.C(x, y), true)
-	s.deposit(mesh.C(x, y), t)
-	s.plusYFrom(f, x, y)
+	b.visit(mesh.C(x, y), true)
+	b.deposit(mesh.C(x, y), k)
+	b.plusYFrom(f, x, y)
 }
 
 // boundaryPlusY builds the +Y boundary of f: west from the opposite corner
 // along y = y_{c'}, joining +Y boundaries at opposite corners. Returns the
 // joined components.
-func (s *Store) boundaryPlusY(f *mcc.MCC) []*mcc.MCC {
+func (b *builder) boundaryPlusY(f *mcc.MCC) []*mcc.MCC {
 	c := f.Opposite()
-	if !s.m.In(c) {
+	if !b.m.In(c) {
 		return nil
 	}
-	s.visit(c, false)
-	s.deposit(c, Triple{F: f, Kind: RXPlusY})
-	return s.plusYFrom(f, c.X, c.Y)
+	b.visit(c, false)
+	b.deposit(c, RXPlusY)
+	return b.plusYFrom(f, c.X, c.Y)
 }
 
 // plusYFrom continues a +Y boundary of f westward from (x, y).
-func (s *Store) plusYFrom(f *mcc.MCC, x, y int) []*mcc.MCC {
+func (b *builder) plusYFrom(f *mcc.MCC, x, y int) []*mcc.MCC {
 	var joined []*mcc.MCC
-	t := Triple{F: f, Kind: RXPlusY}
+	k := RXPlusY
 	for {
 		x--
 		if x < 0 {
 			return joined
 		}
 		pos := mesh.C(x, y)
-		s.visit(pos, true)
-		g := s.set.At(pos)
-		s.readComp(g)
+		b.visit(pos, true)
+		g := b.set.At(pos)
+		b.readComp(g)
 		if g == nil {
-			s.deposit(pos, t)
+			b.deposit(pos, k)
 			continue
 		}
 		joined = append(joined, g)
@@ -397,18 +398,18 @@ func (s *Store) plusYFrom(f *mcc.MCC, x, y int) []*mcc.MCC {
 		cx := g.RowHi[y-g.Y0] + 1
 		for cy := y + 1; cy <= g.Y1; cy++ {
 			for ; cx < g.RowHi[cy-g.Y0]+1; cx++ {
-				s.visit(mesh.C(cx+1, cy-1), true)
-				s.deposit(mesh.C(cx+1, cy-1), t)
+				b.visit(mesh.C(cx+1, cy-1), true)
+				b.deposit(mesh.C(cx+1, cy-1), k)
 			}
-			s.visit(mesh.C(cx, cy), true)
-			s.deposit(mesh.C(cx, cy), t)
+			b.visit(mesh.C(cx, cy), true)
+			b.deposit(mesh.C(cx, cy), k)
 		}
 		y = g.Y1 + 1
-		if y >= s.m.Height() {
+		if y >= b.m.Height() {
 			return joined
 		}
 		x = cx
-		s.visit(mesh.C(x, y), true)
-		s.deposit(mesh.C(x, y), t)
+		b.visit(mesh.C(x, y), true)
+		b.deposit(mesh.C(x, y), k)
 	}
 }

@@ -110,7 +110,9 @@ func (f flags) status() Status {
 }
 
 // BorderPolicy selects how the labeling rules treat the missing neighbors
-// of mesh-border nodes. The paper never says; see DESIGN.md.
+// of mesh-border nodes. The paper never says; the constants give the
+// reason for the BorderSafe default, and BenchmarkAblationBorderPolicy
+// compares the two.
 type BorderPolicy uint8
 
 const (

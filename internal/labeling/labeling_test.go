@@ -68,7 +68,7 @@ func TestDiagonalDoesNotFill(t *testing.T) {
 
 func TestLShapedFill(t *testing.T) {
 	// Faults (5,4),(5,5),(4,6) plus closure = 2x3 full rectangle (derived by
-	// hand from the rules; see DESIGN.md notes).
+	// hand from the useless and can't-reach rules).
 	g := grid(t, mesh.Square(12), mesh.C(5, 4), mesh.C(5, 5), mesh.C(4, 6))
 	want := map[mesh.Coord]Status{
 		mesh.C(4, 4): Useless, mesh.C(4, 5): Useless,

@@ -29,7 +29,6 @@ package mcc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/labeling"
 	"repro/internal/mesh"
@@ -149,9 +148,6 @@ type Set struct {
 	// for each chain axis; see sequence.go.
 	succY [][]*MCC
 	succX [][]*MCC
-	// scratch pools the FindSequence search buffers (sequence.go); the pool
-	// keeps the per-hop routing queries allocation-free at steady state.
-	scratch sync.Pool
 }
 
 // Extract identifies every MCC of the labeled grid and builds the query

@@ -1,6 +1,10 @@
 package mcc
 
-import "repro/internal/mesh"
+import (
+	"sync"
+
+	"repro/internal/mesh"
+)
 
 // This file implements blocking sequences (the paper's Equation 1), the
 // succeeding-MCC relation (Equation 4), and their identification from a
@@ -235,7 +239,7 @@ func (s *Set) successors(f *MCC, ax axis) []*MCC {
 // condition (x_c > x_{v'}) is unsatisfiable for interlocked pairs — the
 // chain conditions force x_c < x_{v'} — so we read Algorithm 6 step 4 as
 // "the intersected component is a chain predecessor candidate" and test
-// exactly that. See DESIGN.md.
+// exactly that.
 func (s *Set) IsSuccessorY(pred, succ *MCC) bool { return s.isSuccessor(pred, succ, axisY) }
 
 // IsSuccessorX is the type-II transpose of IsSuccessorY.
@@ -271,8 +275,8 @@ const seqCandidateBudget = 256
 
 // seqScratch bundles the reusable buffers of one findAxis invocation: the
 // per-component dead-end and on-chain marks (indexed by MCC ID), the DFS
-// chain, the seed list, and the certification DP grid. Pooled per Set so
-// the routing hot path — which calls FindSequence every hop of a planned
+// chain, the seed list, and the certification DP grid. Pooled so the
+// routing hot path — which calls FindSequence every hop of a planned
 // leg — allocates nothing at steady state.
 type seqScratch struct {
 	deadEnd []bool
@@ -282,11 +286,15 @@ type seqScratch struct {
 	reach   []bool
 }
 
-// seqScratchFor fetches a scratch sized for this set from the pool. The
-// pool lives on the Set, so concurrent FindSequence callers sharing one
-// snapshot each borrow their own buffers.
+// seqScratchPool is package-wide rather than per Set: a pool inside a
+// Set would keep every retired Set reachable, through the runtime's pool
+// registry, for two more GC cycles. Concurrent FindSequence callers each
+// borrow their own buffers.
+var seqScratchPool sync.Pool
+
+// seqScratchFor fetches a scratch from the pool, sized for this set.
 func (s *Set) seqScratchFor() *seqScratch {
-	sc, _ := s.scratch.Get().(*seqScratch)
+	sc, _ := seqScratchPool.Get().(*seqScratch)
 	if sc == nil {
 		sc = &seqScratch{}
 	}
@@ -310,7 +318,7 @@ func (s *Set) seqScratchFor() *seqScratch {
 // consume the candidate budget instead.
 func (s *Set) findAxis(u, d mesh.Coord, ax axis) *Sequence {
 	sc := s.seqScratchFor()
-	defer s.scratch.Put(sc)
+	defer seqScratchPool.Put(sc)
 	sc.seeds = s.candidatesAbove(u, ax, sc.seeds)
 	if len(sc.seeds) == 0 {
 		return nil

@@ -17,7 +17,7 @@ import (
 // with D(x, d) = M(x, d) when no sequence blocks x -> d and the minimum
 // over the options of x's closest sequence otherwise.
 //
-// Deviations forced by under-specification, all documented in DESIGN.md:
+// Deviations forced by under-specification:
 //
 //   - corners occupied by faults/other components or lying outside the mesh
 //     are unusable and their options are dropped; if every option drops the

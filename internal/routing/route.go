@@ -151,8 +151,11 @@ func Route(a *Analysis, algo Algo, s, d mesh.Coord, opt Options) Result {
 		return Result{Abort: "unknown algorithm"}
 	}
 	// Keep the (possibly grown) arrival log as the scratch's path buffer
-	// for the next walk.
+	// for the next walk, and drop the walk state: a pooled scratch
+	// outlives the call and must not pin this analysis or opt.Stop's
+	// context.
 	sc.path = res.Path
+	sc.w = walk{}
 	if borrowed {
 		res.Path = append([]mesh.Coord(nil), res.Path...) //meshlint:allow detached copy for the borrowed-scratch path; callers opting into zero-alloc routing pass their own Scratch
 		scratchPool.Put(sc)
