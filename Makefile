@@ -306,15 +306,19 @@ cluster-smoke:
 # counter is monotone non-decreasing across scrapes with real traffic in
 # between, (2) every documented metric family (meshd -list-metrics, the
 # same list server.MetricNames() exports) appears across the leader and
-# follower scrapes, and (3) one meshload mutation's X-Request-Id appears
-# in both nodes' access logs — the cluster-wide correlation contract.
+# follower scrapes, (3) one meshload mutation's X-Request-Id appears
+# in both nodes' access logs — the cluster-wide correlation contract —
+# and (4) /metrics is the serving port's only stats surface: /varz,
+# /debug/vars and /debug/pprof/ answer 404 there, while the leader's
+# -debug-addr listener (bound address read from its boot log) serves
+# /debug/pprof/.
 metrics-smoke:
 	@set -e; tmp=$$(mktemp -d); status=1; \
 	$(GO) build -o $$tmp/meshd ./cmd/meshd; \
 	$(GO) build -o $$tmp/meshload ./cmd/meshload; \
 	$$tmp/meshd -addr 127.0.0.1:0 -addr-file $$tmp/addr_l -data-dir $$tmp/data \
 		-tenant-rate 5000 -tenant-burst 1000 -max-inflight 64 \
-		-log json 2> $$tmp/log_l & lpid=$$!; \
+		-debug-addr 127.0.0.1:0 -log json 2> $$tmp/log_l & lpid=$$!; \
 	for i in $$(seq 1 100); do [ -s $$tmp/addr_l ] && break; sleep 0.1; done; \
 	fpid=; \
 	if [ -s $$tmp/addr_l ]; then \
@@ -353,6 +357,14 @@ metrics-smoke:
 					grep -q "^# TYPE $$name " $$tmp/scrapes \
 						|| { echo "metrics-smoke: documented metric $$name missing from scrapes"; status=1; }; \
 				done < $$tmp/names; \
+				for path in /varz /debug/vars /debug/pprof/; do \
+					[ "$$(curl -s -o /dev/null -w '%{http_code}' http://$$leader$$path)" = 404 ] \
+						|| { echo "metrics-smoke: serving port answers $$path, want 404"; status=1; }; \
+				done; \
+				debug=$$(sed -n 's|.*debug endpoints (pprof) on http://\([^/]*\)/debug/.*|\1|p' $$tmp/log_l); \
+				if [ -n "$$debug" ] && [ "$$(curl -s -o /dev/null -w '%{http_code}' http://$$debug/debug/pprof/)" = 200 ]; then \
+					echo "metrics-smoke: pprof served on -debug-addr $$debug, not on the serving port"; \
+				else echo "metrics-smoke: -debug-addr listener '$$debug' does not serve /debug/pprof/"; status=1; fi; \
 				$$tmp/meshload -addr $$follower -mesh tm2 -n 8 -faults 4 \
 					-requests 30 -rate 60 -workers 2 >/dev/null 2>&1 || true; \
 				id=$$(grep '"code":"NOT_LEADER"' $$tmp/log_f | head -1 | sed -n 's/.*"id":"\([^"]*\)".*/\1/p'); \

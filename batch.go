@@ -164,19 +164,3 @@ func (n *Network) RouteBatch(ctx context.Context, req BatchRequest, opts ...Rout
 	}()
 	return b, nil
 }
-
-// BatchResult pairs one request with its outcome in the pre-v1 slice
-// calling convention.
-//
-// Deprecated: API v1 streams BatchItems; BatchResult remains for
-// RouteBatchLegacy callers.
-type BatchResult = engine.BatchResult
-
-// RouteBatchLegacy routes with the pre-v1 calling convention: a fully
-// buffered result slice in input order, no oracle, no cancellation.
-//
-// Deprecated: use RouteBatch with a BatchRequest; it adds context
-// cancellation, typed errors, oracle reports, and streaming consumption.
-func (n *Network) RouteBatchLegacy(algo Algorithm, pairs []Pair, workers int) []BatchResult {
-	return n.router.RouteBatchWith(algo, pairs, workers, *n.opts.Load())
-}

@@ -54,9 +54,9 @@
 // so one grep correlates a mutation across follower and leader logs.
 //
 // -debug-addr opens a second, operator-only listener serving
-// /debug/pprof (net/http/pprof) and /debug/vars (expvar, including the
-// full /varz document under "meshd") — live profiling without exposing
-// either on the serving port.
+// /debug/pprof (net/http/pprof) — live profiling without exposing it on
+// the serving port. Serving counters are on the serving port's
+// /metrics.
 //
 // On SIGINT/SIGTERM the daemon drains gracefully: the listener stops
 // accepting, /healthz flips to 503, and in-flight requests get the drain
@@ -68,7 +68,6 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -129,7 +128,7 @@ func main() {
 	resync := flag.Duration("resync", 2*time.Second, "follower mesh-list polling interval (with -follow)")
 	logMode := flag.String("log", "off", "structured access logs on stderr: json, text, or off")
 	slowMS := flag.Int("slow-ms", 0, "log a WARN slow-request record for requests slower than this many ms (0 = off)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this extra listener (empty = off)")
+	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof on this extra listener (empty = off)")
 	listMetrics := flag.Bool("list-metrics", false, "print every /metrics family name and exit (the make metrics-smoke contract)")
 	var fails failFlag
 	flag.Var(&fails, "fail", "arm a journal storage failpoint, op[:path=substr][:nth=N][:err=eio|enospc][:torn][:sticky] (repeatable; testing only)")
@@ -232,23 +231,16 @@ func main() {
 		}()
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", srv.Handler())
-	// Standard expvar (memstats, cmdline) plus the server's own counters
-	// under "meshd" — `curl /debug/vars | jq .meshd` mirrors /varz.
-	expvar.Publish("meshd", expvar.Func(func() any { return srv.Varz() }))
-	mux.Handle("GET /debug/vars", expvar.Handler())
-
 	if *debugAddr != "" {
-		// Operator-only listener: live pprof profiles plus expvar, kept
-		// off the serving port so profiling endpoints are never reachable
-		// by route traffic. http.DefaultServeMux carries the
-		// net/http/pprof registrations from its package init.
+		// Operator-only listener: live pprof profiles, kept off the
+		// serving port so profiling endpoints are never reachable by
+		// route traffic. http.DefaultServeMux carries the net/http/pprof
+		// registrations from its package init.
 		dln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
 			log.Fatalf("meshd: listen -debug-addr %s: %v", *debugAddr, err)
 		}
-		log.Printf("meshd: debug endpoints (pprof, expvar) on http://%s/debug/", dln.Addr())
+		log.Printf("meshd: debug endpoints (pprof) on http://%s/debug/", dln.Addr())
 		go func() {
 			if err := http.Serve(dln, http.DefaultServeMux); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("meshd: debug listener: %v", err)
@@ -268,7 +260,7 @@ func main() {
 	}
 	log.Printf("meshd: serving on http://%s (drain grace %v)", bound, *drain)
 
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -3,7 +3,7 @@
 // delivery, optimality, and cost statistics, with every knob exposed.
 //
 // Routing runs on the concurrent engine (internal/engine): each trial
-// publishes one immutable analysis snapshot and the sampled pairs stream
+// builds one immutable analysis snapshot and the sampled pairs stream
 // through a worker pool sized by -workers. Interrupting (ctrl-C) cancels
 // the in-flight batch promptly and prints the partial aggregates.
 //
@@ -119,8 +119,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "meshsim: trial %d: no connected configuration at %d faults; skipping\n", trial, *nFaults)
 			continue
 		}
-		eng := engine.New(f, engine.Options{Routing: routing.Options{Policy: policy}})
-		snap := eng.Snapshot()
+		snap := engine.NewSnapshot(f, engine.Options{})
 		a := snap.Analysis()
 		oracle := snap.Oracle() // per-trial BFS cache; pairs sharing endpoints reuse fields
 		// Sample the trial's pairs sequentially (the RNG stream is part of
@@ -145,7 +144,7 @@ func main() {
 		for _, al := range algos {
 			// Stream the batch: aggregate each outcome as a worker
 			// completes it, no buffered result slice.
-			for br := range eng.RouteBatchStream(ctx, al, batch, *workers) {
+			for br := range snap.BatchStream(ctx, al, batch, *workers, routing.Options{Policy: policy}) {
 				ag := perAlgo[al]
 				ag.routed++
 				if br.Err != nil || !br.Res.Delivered {

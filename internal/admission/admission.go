@@ -125,24 +125,24 @@ func (c Config) withDefaults() Config {
 // TenantStats is one tenant's admission ledger.
 type TenantStats struct {
 	// Admitted and Rejected are cumulative request tallies.
-	Admitted uint64 `json:"admitted"`
-	Rejected uint64 `json:"rejected"`
+	Admitted uint64
+	Rejected uint64
 	// Queued is the number of this tenant's requests currently waiting
 	// for an inflight slot (a gauge, not a counter).
-	Queued int `json:"queued"`
+	Queued int
 }
 
 // Stats is a point-in-time snapshot of the Controller.
 type Stats struct {
 	// Inflight and Queued are current global gauges.
-	Inflight int `json:"inflight"`
-	Queued   int `json:"queued"`
+	Inflight int
+	Queued   int
 	// Admitted and Rejected are cumulative global tallies (evicted
 	// tenants' history included).
-	Admitted uint64 `json:"admitted"`
-	Rejected uint64 `json:"rejected"`
+	Admitted uint64
+	Rejected uint64
 	// Tenants maps live tenants to their ledgers.
-	Tenants map[string]TenantStats `json:"tenants,omitempty"`
+	Tenants map[string]TenantStats
 }
 
 // bucket is one tenant's token bucket plus its ledger.
@@ -333,7 +333,7 @@ func (c *Controller) evictLocked() {
 	delete(c.tenants, victim)
 }
 
-// Stats snapshots the Controller for /varz.
+// Stats snapshots the Controller for the /metrics admission families.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

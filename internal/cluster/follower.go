@@ -71,8 +71,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// TailStats is a point-in-time snapshot of one mesh tail, surfaced
-// through the follower /varz replication block.
+// TailStats is a point-in-time snapshot of one mesh tail, surfaced as
+// the follower's meshd_replication_* metric families.
 type TailStats struct {
 	// AppliedVersion is the last leader snapshot version durably
 	// observed and published locally.
@@ -85,16 +85,13 @@ type TailStats struct {
 	// not yet applied locally: stamped the moment the tail first observes
 	// LeaderVersion ahead of AppliedVersion, cleared when it catches up.
 	// Zero while caught up; its age is the replication lag in wall time
-	// (/varz lag_seconds, /metrics meshd_replication_lag_seconds).
+	// (meshd_replication_lag_seconds).
 	BehindSince time.Time
 	// Reconnects counts stream re-establishments (?from= re-resumes).
 	Reconnects uint64
 	// GapsHealed counts full snapshot refetches forced by gap events or
 	// out-of-sync deltas.
 	GapsHealed uint64
-	// LastError is the most recent stream error, empty after a clean
-	// (re)connect.
-	LastError string
 }
 
 // Follower tails every mesh on one leader and mirrors it into a local
@@ -295,7 +292,6 @@ func (t *tail) run(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		t.setError(err)
 		t.f.cfg.Logf("cluster: mesh %q stream: %v (reconnecting in %v)", t.name, err, backoff)
 		select {
 		case <-ctx.Done():
@@ -321,7 +317,6 @@ func (t *tail) once(ctx context.Context) error {
 			return err
 		}
 		t.synced = true
-		t.setError(nil)
 	}
 	return t.stream(ctx)
 }
@@ -422,7 +417,6 @@ func (t *tail) stream(ctx context.Context) error {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("cluster: watch status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	t.setError(nil)
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -501,14 +495,4 @@ func (t *tail) stream(ctx context.Context) error {
 		return fmt.Errorf("cluster: stream read: %w", err)
 	}
 	return fmt.Errorf("cluster: leader closed the stream")
-}
-
-func (t *tail) setError(err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err == nil {
-		t.stats.LastError = ""
-	} else {
-		t.stats.LastError = err.Error()
-	}
 }

@@ -13,13 +13,14 @@
 //   - A Snapshot bundles one fault configuration with its fully
 //     precomputed routing.Analysis (see Analysis.Precompute). Snapshots are
 //     immutable; readers never lock.
-//   - Router holds the current Snapshot behind an atomic.Pointer. Route and
-//     RouteBatch load the pointer once and work against that snapshot for
-//     their whole call, so a concurrent swap never tears a query.
-//   - Swap / Rebuild construct the next snapshot entirely off-line (the
-//     expensive labeling fixpoint, MCC extraction, and information
-//     propagation all happen before publication) and then publish it with a
-//     single atomic store. Readers are never blocked; at most they finish
+//   - Router holds the current Snapshot behind an atomic.Pointer. A caller
+//     loads it once with Router.Snapshot and serves every query of one
+//     request from it (Snapshot.Route, RouteCtx, BatchStream), so a
+//     concurrent swap never tears a query.
+//   - Swap constructs the next snapshot entirely off-line (the expensive
+//     labeling fixpoint, MCC extraction, and information propagation all
+//     happen before publication) and then publishes it with a single
+//     atomic store. Readers are never blocked; at most they finish
 //     their current query against the previous snapshot. Writers are
 //     serialized among themselves by a mutex.
 //
@@ -39,7 +40,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/info"
-	"repro/internal/labeling"
 	"repro/internal/mesh"
 	"repro/internal/routing"
 	"repro/internal/spath"
@@ -87,19 +87,17 @@ type Snapshot struct {
 	oracle   *spath.Oracle
 	metrics  Metrics
 
-	// delta, when hasDelta is set, is the exact fault transition against
-	// the snapshot this one was built from. Router-built snapshots carry
-	// it so publishLocked can feed OnPublish without re-diffing the sets.
-	delta    Delta
-	hasDelta bool
+	// delta is the exact fault transition against the snapshot this one
+	// was built from, handed to OnPublish at publication (zero for the
+	// initial snapshot).
+	delta Delta
 }
 
-// NewSnapshot clones f and precomputes the analysis under the given
-// labeling/selection options (all information models unless opts.Models
-// narrows them).
+// NewSnapshot clones f and precomputes the analysis (all information
+// models unless opts.Models narrows them).
 func NewSnapshot(f *fault.Set, opts Options) *Snapshot {
 	frozen := f.Clone()
-	a := routing.NewAnalysisWithPolicy(frozen, opts.Border).Precompute(opts.Models...)
+	a := routing.NewAnalysis(frozen).Precompute(opts.Models...)
 	return &Snapshot{
 		faults:   frozen,
 		analysis: a,
@@ -148,12 +146,6 @@ func (s *Snapshot) putScratch(sc *routing.Scratch) { s.scratch.Put(sc) }
 
 // Options configure a Router.
 type Options struct {
-	// Routing tunes the per-walk options (adaptive policy, hop budget).
-	// Options.Rng must be nil: a shared rng would race across goroutines.
-	Routing routing.Options
-	// Border selects the labeling border policy (the zero value is
-	// BorderSafe, the default everywhere else).
-	Border labeling.BorderPolicy
 	// Models narrows which information models every snapshot precomputes.
 	// Empty means all three (B1, B2, B3); a router serving only RB2 can
 	// pass []info.Model{info.B2} to cut the per-publication rebuild cost.
@@ -162,26 +154,19 @@ type Options struct {
 	// OracleBound caps the per-source BFS distance fields each snapshot's
 	// Oracle caches (<= 0 means spath.DefaultOracleBound).
 	OracleBound int
-	// Metrics, when non-nil, observes every routed walk (Route and each
-	// batch item) on every snapshot the router publishes. See Metrics.
+	// Metrics, when non-nil, observes every routed walk (Snapshot.Route,
+	// RouteCtx and each batch item) on every snapshot the router
+	// publishes. See Metrics.
 	Metrics Metrics
-	// OnPublish, when non-nil, observes every snapshot publication (Swap
-	// and Update, not the initial snapshot of New): it receives the new
+	// OnPublish, when non-nil, observes every snapshot publication (every
+	// Swap, not the initial snapshot of New): it receives the new
 	// snapshot's version and the fault delta against the previous snapshot.
 	// The hook runs synchronously inside the writer critical section, so
 	// invocations are strictly version-ordered with no gaps — the property
 	// journaling and change notification build on. It therefore must not
-	// call back into the Router's writer methods (Swap and Update would
-	// self-deadlock) and should return quickly: readers are never blocked
-	// by it, but the next writer is.
+	// call back into Swap (it would self-deadlock) and should return
+	// quickly: readers are never blocked by it, but the next writer is.
 	OnPublish func(version uint64, delta Delta)
-	// OnPublishNeeded, when non-nil, gates OnPublish per publication: the
-	// O(nodes) delta diff (and the hook call) are skipped when it returns
-	// false. The facade uses it to elide delta computation on networks
-	// with no journal and no live watchers; a publication skipped this
-	// way is NOT delivered later, so gates must only return false when no
-	// observer exists.
-	OnPublishNeeded func() bool
 	// StartVersion seeds the publication counter: the initial snapshot of
 	// New publishes as version StartVersion (0 means 1, the default).
 	// Recovery layers use it to rebuild a router to its exact pre-crash
@@ -201,8 +186,8 @@ type Delta struct {
 }
 
 // Metrics is the engine's serving-side counters hook. A non-nil
-// Options.Metrics is invoked once per routed walk — single-pair Route
-// calls and every batch item alike — after the walk completes and before
+// Options.Metrics is invoked once per routed walk — single-pair routes
+// and every batch item alike — after the walk completes and before
 // its result is returned. Requests rejected before walking (endpoint
 // outside the mesh, faulty endpoint) do not reach the hook; serving
 // layers count those at their own boundary.
@@ -219,9 +204,9 @@ type Metrics interface {
 // Router serves routing queries concurrently over an atomically swappable
 // analysis snapshot. The zero value is not usable; construct with New.
 //
-// Readers (Route, RouteBatch, Snapshot, ...) never block and never lock.
-// Writers (Swap, Rebuild, Update) are serialized by an internal mutex and
-// publish with a single atomic store.
+// Readers (Snapshot, Version, RebuildStats) never block and never lock.
+// Writers (Swap) are serialized by an internal mutex and publish with a
+// single atomic store.
 type Router struct {
 	snap atomic.Pointer[Snapshot]
 	mu   sync.Mutex // serializes writers; readers never take it
@@ -231,8 +216,8 @@ type Router struct {
 	// Cumulative rebuild/oracle accounting across every snapshot this
 	// router publishes. The oracle hit/miss pair is threaded into each
 	// snapshot's oracle (spath.NewOracleShared), so the served hit rate
-	// stays monotone across publications instead of resetting — the
-	// attribution bug /varz used to expose.
+	// stays monotone across publications instead of resetting with each
+	// snapshot's own oracle.
 	oracleHits    atomic.Uint64
 	oracleMisses  atomic.Uint64
 	rebuildCells  atomic.Uint64 // labeling cells examined by delta-scoped rebuilds
@@ -284,14 +269,13 @@ func (r *Router) buildSnapshotLocked(f *fault.Set) *Snapshot {
 	frozen := f.Clone()
 	adds, repairs := fault.Diff(prev.faults, frozen)
 	s := &Snapshot{
-		faults:   frozen,
-		scratch:  prev.scratch,
-		metrics:  r.opts.Metrics,
-		delta:    Delta{Adds: adds, Repairs: repairs},
-		hasDelta: true,
+		faults:  frozen,
+		scratch: prev.scratch,
+		metrics: r.opts.Metrics,
+		delta:   Delta{Adds: adds, Repairs: repairs},
 	}
 	if fullRebuildFactor*(len(adds)+len(repairs)) >= frozen.Mesh().Nodes() {
-		s.analysis = routing.NewAnalysisWithPolicy(frozen, r.opts.Border).Precompute(r.opts.Models...)
+		s.analysis = routing.NewAnalysis(frozen).Precompute(r.opts.Models...)
 		s.oracle = spath.NewOracleShared(frozen, r.opts.OracleBound, &r.oracleHits, &r.oracleMisses)
 		r.fullBuilds.Add(1)
 		return s
@@ -307,15 +291,9 @@ func (r *Router) buildSnapshotLocked(f *fault.Set) *Snapshot {
 }
 
 // New builds a Router serving the given fault configuration. The set is
-// cloned; later mutations of f are invisible to the router (use Swap or
-// Update to publish changes).
+// cloned; later mutations of f are invisible to the router (use Swap to
+// publish changes).
 func New(f *fault.Set, opts Options) *Router {
-	if opts.Routing.Rng != nil {
-		panic("engine: Options.Routing.Rng must be nil (it would race across goroutines)")
-	}
-	if opts.Routing.Scratch != nil {
-		panic("engine: Options.Routing.Scratch must be nil (it would race across goroutines; the engine pools scratches itself)")
-	}
 	r := &Router{opts: opts}
 	if opts.StartVersion > 0 {
 		r.vers.Store(opts.StartVersion - 1)
@@ -339,15 +317,14 @@ func (r *Router) Snapshot() *Snapshot { return r.snap.Load() }
 // Version returns the version of the currently published snapshot.
 func (r *Router) Version() uint64 { return r.Snapshot().version }
 
-// Mesh returns the routed topology.
-func (r *Router) Mesh() mesh.Mesh { return r.Snapshot().analysis.Mesh() }
-
 // Swap publishes a snapshot of f as the new routing state, returning the
-// published snapshot. In-flight readers keep their old snapshot; new calls
-// see the new one. The analysis reconstruction — delta-scoped against the
-// outgoing snapshot, or a full precompute for wholesale replacements —
-// happens before the atomic publication, so readers are never exposed to
-// a half-built analysis; they are never blocked, only the next writer is.
+// published snapshot. The set is cloned, so later mutations of f are
+// invisible to the snapshot. In-flight readers keep their old snapshot;
+// new calls see the new one. The analysis reconstruction — delta-scoped
+// against the outgoing snapshot, or a full precompute for wholesale
+// replacements — happens before the atomic publication, so readers are
+// never exposed to a half-built analysis; they are never blocked, only
+// the next writer is.
 func (r *Router) Swap(f *fault.Set) *Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -360,31 +337,11 @@ func (r *Router) Swap(f *fault.Set) *Snapshot {
 // OnPublish with the delta against the outgoing snapshot. Callers hold
 // r.mu, so hook invocations are strictly version-ordered.
 func (r *Router) publishLocked(s *Snapshot) {
-	old := r.snap.Load()
 	s.version = r.vers.Add(1)
 	r.snap.Store(s)
-	if r.opts.OnPublish != nil && (r.opts.OnPublishNeeded == nil || r.opts.OnPublishNeeded()) {
-		if s.hasDelta {
-			// Router-built snapshots carry the diff from their rebuild.
-			r.opts.OnPublish(s.version, s.delta)
-			return
-		}
-		adds, repairs := fault.Diff(old.faults, s.faults)
-		r.opts.OnPublish(s.version, Delta{Adds: adds, Repairs: repairs})
+	if r.opts.OnPublish != nil {
+		r.opts.OnPublish(s.version, s.delta)
 	}
-}
-
-// Update clones the current fault set, applies mutate to the clone, and
-// publishes the result — the read-copy-update path for incremental fault
-// events (node failed, node repaired).
-func (r *Router) Update(mutate func(*fault.Set)) *Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	next := r.snap.Load().faults.Clone()
-	mutate(next)
-	s := r.buildSnapshotLocked(next) // clones again; harmless
-	r.publishLocked(s)
-	return s
 }
 
 // Result reports one routed query. The raw walk result is embedded;
@@ -403,32 +360,14 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Route routes s -> d with algo on the current snapshot. Safe to call from
-// any goroutine, including concurrently with Swap/Update. It fails only
-// when an endpoint is faulty or outside the mesh; an undelivered walk
-// comes back with Delivered=false and Abort set.
-func (r *Router) Route(algo routing.Algo, s, d mesh.Coord) (Result, error) {
-	return routeOn(r.Snapshot(), algo, s, d, r.opts.Routing)
-}
-
-// RouteWith routes like Route but with per-call walk options, overriding
-// the router-level routing.Options. A non-nil opt.Rng makes the call
-// unsafe to share across goroutines (math/rand.Rand is not synchronized);
-// concurrent callers must use per-goroutine options.
-func (r *Router) RouteWith(algo routing.Algo, s, d mesh.Coord, opt routing.Options) (Result, error) {
-	return routeOn(r.Snapshot(), algo, s, d, opt)
-}
-
-// RouteCtx routes s -> d on the current snapshot under ctx: it fails fast
-// with ErrCanceled when ctx is already done and aborts the walk promptly
-// on cancellation or deadline expiry.
-func (r *Router) RouteCtx(ctx context.Context, algo routing.Algo, s, d mesh.Coord) (Result, error) {
-	return r.Snapshot().RouteCtx(ctx, algo, s, d, r.opts.Routing)
-}
-
-// Route runs one query pinned to this snapshot — for callers that need
+// Route routes src -> dst with algo on this snapshot. Safe to call from
+// any goroutine, including concurrently with Swap; callers that need
 // several operations (the walk plus oracle lookups on Faults()) to observe
-// one consistent configuration across concurrent swaps.
+// one configuration pin the snapshot once and run them all on it. It
+// fails only when an endpoint is faulty or outside the mesh; an
+// undelivered walk comes back with Delivered=false and Abort set. A
+// non-nil opt.Rng or opt.Scratch makes the call unsafe to share across
+// goroutines.
 func (s *Snapshot) Route(algo routing.Algo, src, dst mesh.Coord, opt routing.Options) (Result, error) {
 	return routeOn(s, algo, src, dst, opt)
 }
@@ -505,13 +444,6 @@ type Pair struct {
 	S, D mesh.Coord
 }
 
-// BatchResult pairs one request with its outcome.
-type BatchResult struct {
-	Pair Pair
-	Res  Result
-	Err  error
-}
-
 // BatchItem is one streamed batch outcome. Items arrive in completion
 // order; Index identifies the pair's position in the request.
 type BatchItem struct {
@@ -519,55 +451,6 @@ type BatchItem struct {
 	Pair  Pair
 	Res   Result
 	Err   error
-}
-
-// RouteBatch routes every pair with algo across a pool of workers
-// (workers <= 0 means GOMAXPROCS) and returns the outcomes in input order.
-// The whole batch is served from one snapshot loaded at entry, so the
-// results are mutually consistent even while Swap runs concurrently.
-func (r *Router) RouteBatch(algo routing.Algo, pairs []Pair, workers int) []BatchResult {
-	return r.RouteBatchWith(algo, pairs, workers, r.opts.Routing)
-}
-
-// RouteBatchWith is RouteBatch with per-call walk options. opt.Rng must be
-// nil: the batch fans out across goroutines and math/rand.Rand is not
-// synchronized.
-func (r *Router) RouteBatchWith(algo routing.Algo, pairs []Pair, workers int, opt routing.Options) []BatchResult {
-	out, _ := r.RouteBatchCtx(context.Background(), algo, pairs, workers, opt)
-	return out
-}
-
-// RouteBatchCtx routes the batch under ctx and returns the outcomes in
-// input order. On cancellation it stops claiming pairs promptly, fills
-// every unrouted slot with an ErrCanceled error, and returns the
-// cancellation as its own error; completed results are kept. A
-// cancellation that lands after every pair was served is not an error:
-// the batch is complete.
-func (r *Router) RouteBatchCtx(ctx context.Context, algo routing.Algo, pairs []Pair, workers int, opt routing.Options) ([]BatchResult, error) {
-	out := make([]BatchResult, len(pairs))
-	done := make([]bool, len(pairs))
-	served := 0
-	for item := range r.Snapshot().BatchStream(ctx, algo, pairs, workers, opt) {
-		out[item.Index] = BatchResult{Pair: item.Pair, Res: item.Res, Err: item.Err}
-		done[item.Index] = true
-		served++
-	}
-	if served < len(pairs) {
-		cerr := canceled(ctx)
-		for i := range out {
-			if !done[i] {
-				out[i] = BatchResult{Pair: pairs[i], Err: cerr}
-			}
-		}
-		return out, cerr
-	}
-	return out, nil
-}
-
-// RouteBatchStream streams the batch on the current snapshot; see
-// Snapshot.BatchStream.
-func (r *Router) RouteBatchStream(ctx context.Context, algo routing.Algo, pairs []Pair, workers int) <-chan BatchItem {
-	return r.Snapshot().BatchStream(ctx, algo, pairs, workers, r.opts.Routing)
 }
 
 // BatchStream fans pairs out across a worker pool (workers <= 0 means

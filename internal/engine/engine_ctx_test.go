@@ -13,22 +13,22 @@ import (
 func TestRouteCtxTypedErrors(t *testing.T) {
 	f := testFaults(t, 8, 0, 0)
 	f.Add(mesh.C(3, 3))
-	eng := New(f, Options{})
+	snap := New(f, Options{}).Snapshot()
 	ctx := context.Background()
 
-	if _, err := eng.RouteCtx(ctx, routing.RB2, mesh.C(0, 0), mesh.C(9, 9)); !errors.Is(err, ErrOutsideMesh) {
+	if _, err := snap.RouteCtx(ctx, routing.RB2, mesh.C(0, 0), mesh.C(9, 9), routing.Options{}); !errors.Is(err, ErrOutsideMesh) {
 		t.Errorf("outside endpoint: %v, want ErrOutsideMesh", err)
 	}
-	if _, err := eng.RouteCtx(ctx, routing.RB2, mesh.C(3, 3), mesh.C(7, 7)); !errors.Is(err, ErrFaultyEndpoint) {
+	if _, err := snap.RouteCtx(ctx, routing.RB2, mesh.C(3, 3), mesh.C(7, 7), routing.Options{}); !errors.Is(err, ErrFaultyEndpoint) {
 		t.Errorf("faulty endpoint: %v, want ErrFaultyEndpoint", err)
 	}
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	_, err := eng.RouteCtx(canceled, routing.RB2, mesh.C(0, 0), mesh.C(7, 7))
+	_, err := snap.RouteCtx(canceled, routing.RB2, mesh.C(0, 0), mesh.C(7, 7), routing.Options{})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled: %v, want ErrCanceled wrapping context.Canceled", err)
 	}
-	if _, err := eng.RouteCtx(ctx, routing.RB2, mesh.C(0, 0), mesh.C(7, 7)); err != nil {
+	if _, err := snap.RouteCtx(ctx, routing.RB2, mesh.C(0, 0), mesh.C(7, 7), routing.Options{}); err != nil {
 		t.Errorf("healthy route: %v", err)
 	}
 }
@@ -38,10 +38,10 @@ func TestRouteCtxTypedErrors(t *testing.T) {
 // its 8*nodes budget.
 func TestRouteCtxDeadlineAbortsWalk(t *testing.T) {
 	f := testFaults(t, 24, 60, 1)
-	eng := New(f, Options{})
+	snap := New(f, Options{}).Snapshot()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
-	_, err := eng.RouteCtx(ctx, routing.RB2, mesh.C(0, 0), mesh.C(23, 23))
+	_, err := snap.RouteCtx(ctx, routing.RB2, mesh.C(0, 0), mesh.C(23, 23), routing.Options{})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("deadline route: %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
@@ -49,19 +49,19 @@ func TestRouteCtxDeadlineAbortsWalk(t *testing.T) {
 
 func TestBatchStreamServesAllPairs(t *testing.T) {
 	f := testFaults(t, 24, 60, 2)
-	eng := New(f, Options{})
+	snap := New(f, Options{}).Snapshot()
 	pairs := usablePairs(f, 40, 9)
-	want := eng.RouteBatch(routing.RB2, pairs, 1)
+	want := collect(t, snap, pairs, 1)
 
 	seen := make([]bool, len(pairs))
-	for item := range eng.RouteBatchStream(context.Background(), routing.RB2, pairs, 4) {
+	for item := range snap.BatchStream(context.Background(), routing.RB2, pairs, 4, routing.Options{}) {
 		if seen[item.Index] {
 			t.Fatalf("pair %d streamed twice", item.Index)
 		}
 		seen[item.Index] = true
 		if (item.Err == nil) != (want[item.Index].Err == nil) ||
 			item.Res.Hops != want[item.Index].Res.Hops {
-			t.Fatalf("pair %d diverges from slice batch: %+v vs %+v",
+			t.Fatalf("pair %d diverges from the serial batch: %+v vs %+v",
 				item.Index, item, want[item.Index])
 		}
 	}
@@ -77,13 +77,13 @@ func TestBatchStreamServesAllPairs(t *testing.T) {
 // workers must stop claiming pairs rather than drain the backlog.
 func TestBatchStreamCancelIsPrompt(t *testing.T) {
 	f := testFaults(t, 32, 100, 3)
-	eng := New(f, Options{})
+	snap := New(f, Options{}).Snapshot()
 	var pairs []Pair
 	for i := 0; i < 5000; i++ {
 		pairs = append(pairs, Pair{S: mesh.C(i%32, (i/32)%32), D: mesh.C(31-i%32, 31-(i/32)%32)})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ch := eng.RouteBatchStream(ctx, routing.RB2, pairs, 2)
+	ch := snap.BatchStream(ctx, routing.RB2, pairs, 2, routing.Options{})
 	served := 0
 	for range 5 {
 		if _, ok := <-ch; !ok {
@@ -105,38 +105,6 @@ func TestBatchStreamCancelIsPrompt(t *testing.T) {
 			served++
 		case <-deadline:
 			t.Fatalf("stream did not close within 5s of cancellation (%d served)", served)
-		}
-	}
-}
-
-// TestRouteBatchCtxFillsCanceledSlots locks the slice variant's
-// cancellation contract: completed results are kept, every unrouted slot
-// carries a typed cancellation error, and the call errors as a whole.
-func TestRouteBatchCtxFillsCanceledSlots(t *testing.T) {
-	f := testFaults(t, 32, 100, 4)
-	eng := New(f, Options{})
-	var pairs []Pair
-	for i := 0; i < 4000; i++ {
-		pairs = append(pairs, Pair{S: mesh.C(i%32, (i/32)%32), D: mesh.C(31-i%32, 31-(i/32)%32)})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancel up front: nothing may route
-	out, err := eng.RouteBatchCtx(ctx, routing.RB2, pairs, 4, routing.Options{})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("batch error %v, want ErrCanceled", err)
-	}
-	if len(out) != len(pairs) {
-		t.Fatalf("len(out) = %d", len(out))
-	}
-	for i, br := range out {
-		if br.Err == nil {
-			continue // a worker may have squeezed a pair in pre-cancel
-		}
-		if !errors.Is(br.Err, ErrCanceled) {
-			t.Fatalf("slot %d error %v, want ErrCanceled", i, br.Err)
-		}
-		if br.Pair != pairs[i] {
-			t.Fatalf("slot %d lost its pair", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -38,13 +39,28 @@ func usablePairs(f *fault.Set, count int, seed int64) []Pair {
 	return out
 }
 
+// collect drains one RB2 BatchStream on snap into input order.
+func collect(t testing.TB, snap *Snapshot, pairs []Pair, workers int) []BatchItem {
+	t.Helper()
+	out := make([]BatchItem, len(pairs))
+	served := 0
+	for item := range snap.BatchStream(context.Background(), routing.RB2, pairs, workers, routing.Options{}) {
+		out[item.Index] = item
+		served++
+	}
+	if served != len(pairs) {
+		t.Fatalf("stream served %d of %d pairs", served, len(pairs))
+	}
+	return out
+}
+
 func TestRouteMatchesDirectRouting(t *testing.T) {
 	f := testFaults(t, 24, 60, 1)
-	eng := New(f, Options{})
+	snap := New(f, Options{}).Snapshot()
 	a := routing.NewAnalysis(f.Clone()).Precompute()
 	for _, p := range usablePairs(f, 32, 7) {
 		for _, al := range []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3} {
-			got, err := eng.Route(al, p.S, p.D)
+			got, err := snap.Route(al, p.S, p.D, routing.Options{})
 			if err != nil {
 				t.Fatalf("%v %v->%v: %v", al, p.S, p.D, err)
 			}
@@ -60,24 +76,21 @@ func TestRouteMatchesDirectRouting(t *testing.T) {
 func TestRouteRejectsBadEndpoints(t *testing.T) {
 	m := mesh.Square(8)
 	f := fault.FromCoords(m, mesh.C(3, 3))
-	eng := New(f, Options{})
-	if _, err := eng.Route(routing.RB2, mesh.C(3, 3), mesh.C(7, 7)); err == nil {
+	snap := New(f, Options{}).Snapshot()
+	if _, err := snap.Route(routing.RB2, mesh.C(3, 3), mesh.C(7, 7), routing.Options{}); err == nil {
 		t.Error("faulty source accepted")
 	}
-	if _, err := eng.Route(routing.RB2, mesh.C(0, 0), mesh.C(9, 9)); err == nil {
+	if _, err := snap.Route(routing.RB2, mesh.C(0, 0), mesh.C(9, 9), routing.Options{}); err == nil {
 		t.Error("outside destination accepted")
 	}
 }
 
 func TestRouteBatchOrderAndConsistency(t *testing.T) {
 	f := testFaults(t, 24, 60, 2)
-	eng := New(f, Options{})
+	snap := New(f, Options{}).Snapshot()
 	pairs := usablePairs(f, 40, 9)
-	serial := eng.RouteBatch(routing.RB2, pairs, 1)
-	pooled := eng.RouteBatch(routing.RB2, pairs, 8)
-	if len(serial) != len(pairs) || len(pooled) != len(pairs) {
-		t.Fatalf("batch sizes %d/%d, want %d", len(serial), len(pooled), len(pairs))
-	}
+	serial := collect(t, snap, pairs, 1)
+	pooled := collect(t, snap, pairs, 8)
 	for i := range pairs {
 		if pooled[i].Pair != pairs[i] {
 			t.Fatalf("result %d out of order: %v != %v", i, pooled[i].Pair, pairs[i])
@@ -112,27 +125,32 @@ func TestSwapPublishesNewVersion(t *testing.T) {
 	}
 }
 
+// TestUpdateIsReadCopyUpdate pins Swap's copy: the published snapshot
+// owns a clone, so an edit the caller makes later to the set it passed
+// must not reach it.
 func TestUpdateIsReadCopyUpdate(t *testing.T) {
 	f := testFaults(t, 16, 0, 0)
 	eng := New(f, Options{})
-	eng.Update(func(fs *fault.Set) { fs.Add(mesh.C(5, 5)) })
+	f.Add(mesh.C(5, 5))
+	eng.Swap(f)
+	f.Add(mesh.C(6, 6))
 	if !eng.Snapshot().Faults().Faulty(mesh.C(5, 5)) {
-		t.Error("update not applied")
+		t.Error("swap not applied")
 	}
-	if f.Faulty(mesh.C(5, 5)) {
-		t.Error("update leaked into the caller's set")
+	if eng.Snapshot().Faults().Faulty(mesh.C(6, 6)) {
+		t.Error("a later edit of the caller's set leaked into the snapshot")
 	}
 	if eng.Version() != 2 {
 		t.Errorf("version = %d, want 2", eng.Version())
 	}
 }
 
-// TestConcurrentRouteDuringSwap hammers Route from many goroutines while a
-// writer continuously swaps fault configurations in and out. Under -race
-// this fails if snapshotting is wrong anywhere (torn analysis, shared walk
-// state, lazy cache fills after publication). Each delivered result must
-// also be internally consistent with the *snapshot version* that served
-// it, proving queries never mix two configurations.
+// TestConcurrentRouteDuringSwap hammers Snapshot().Route from many
+// goroutines while a writer continuously swaps fault configurations in
+// and out. Under -race this fails if snapshotting is wrong anywhere (torn
+// analysis, shared walk state, lazy cache fills after publication). Each
+// delivered result must also be internally consistent with the *snapshot
+// version* that served it, proving queries never mix two configurations.
 func TestConcurrentRouteDuringSwap(t *testing.T) {
 	readers, queries, swaps := 8, 300, 30
 	if testing.Short() {
@@ -178,7 +196,7 @@ func TestConcurrentRouteDuringSwap(t *testing.T) {
 			for q := 0; q < queries || !stop.Load(); q++ {
 				p := pairs[(g+q)%len(pairs)]
 				snap := eng.Snapshot()
-				res, err := eng.Route(routing.RB2, p.S, p.D)
+				res, err := eng.Snapshot().Route(routing.RB2, p.S, p.D, routing.Options{})
 				if err != nil {
 					errs <- err
 					return
@@ -200,35 +218,30 @@ func TestConcurrentRouteDuringSwap(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchDuringUpdate drives RouteBatch concurrently with
-// read-copy-update fault events; every batch must come back fully served
-// by a single snapshot (uniform version across the batch).
+// TestConcurrentBatchDuringUpdate drives BatchStream concurrently with
+// fault swaps; every batch must come back fully served by the snapshot
+// it was started on.
 func TestConcurrentBatchDuringUpdate(t *testing.T) {
 	f := testFaults(t, 20, 30, 6)
 	eng := New(f, Options{})
 	pairs := usablePairs(f, 16, 13)
+	failed := f.Clone()
+	failed.Add(mesh.C(19, 19))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			c := mesh.C(19, 19)
-			eng.Update(func(fs *fault.Set) { fs.Add(c) })
-			eng.Update(func(fs *fault.Set) { fs.Remove(c) })
+			eng.Swap(failed)
+			eng.Swap(f)
 		}
 	}()
 	for i := 0; i < 30; i++ {
-		out := eng.RouteBatch(routing.RB2, pairs, 4)
-		var version uint64
-		for j, br := range out {
-			if br.Err != nil {
-				continue
-			}
-			if version == 0 {
-				version = br.Res.Version
-			} else if br.Res.Version != version {
+		snap := eng.Snapshot()
+		for j, item := range collect(t, snap, pairs, 4) {
+			if item.Err == nil && item.Res.Version != snap.Version() {
 				t.Fatalf("batch %d result %d served by snapshot %d, batch started on %d",
-					i, j, br.Res.Version, version)
+					i, j, item.Res.Version, snap.Version())
 			}
 		}
 	}

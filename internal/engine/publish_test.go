@@ -11,9 +11,9 @@ import (
 )
 
 // TestOnPublishDeltaAndOrder locks the publish-hook contract: every Swap
-// and Update fires OnPublish exactly once, versions arrive strictly
-// monotone with no gaps, and each delta is the exact fault transition
-// against the previously published snapshot.
+// fires OnPublish exactly once, versions arrive strictly monotone with no
+// gaps, and each delta is the exact fault transition against the
+// previously published snapshot.
 func TestOnPublishDeltaAndOrder(t *testing.T) {
 	m := mesh.Square(8)
 	type event struct {
@@ -30,10 +30,7 @@ func TestOnPublishDeltaAndOrder(t *testing.T) {
 
 	f1 := fault.FromCoords(m, mesh.C(1, 1), mesh.C(2, 2))
 	r.Swap(f1)
-	r.Update(func(f *fault.Set) {
-		f.Remove(mesh.C(1, 1))
-		f.Add(mesh.C(5, 5))
-	})
+	r.Swap(fault.FromCoords(m, mesh.C(2, 2), mesh.C(5, 5)))
 	r.Swap(fault.NewSet(m)) // clear everything
 
 	want := []event{

@@ -77,7 +77,7 @@ func TestFullRebuildFallback(t *testing.T) {
 	}
 }
 
-// TestOracleStatsMonotoneAcrossPublish checks the /varz attribution fix:
+// TestOracleStatsMonotoneAcrossPublish checks the oracle attribution:
 // hit/miss totals accumulate across snapshot replacement instead of
 // resetting, and fields the delta cannot touch are carried forward.
 func TestOracleStatsMonotoneAcrossPublish(t *testing.T) {

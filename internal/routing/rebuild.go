@@ -9,7 +9,7 @@ import (
 )
 
 // RebuildStats reports what a delta-scoped rebuild actually did, for the
-// engine's /varz gauges.
+// engine's rebuild counters (meshd_rebuild_cells_total on /metrics).
 type RebuildStats struct {
 	// Cells is the number of cells the labeling fixpoint examined across
 	// all four orientations — the delta-scoped substitute for the 4*nodes

@@ -166,25 +166,40 @@ func TestSlowRequestRecord(t *testing.T) {
 
 // TestAccessLogJournalSpans: with a journal, a committed fault
 // transaction attributes its disk time — the journal_append span comes
-// from the version-keyed OnAppend ring, and apply time excludes it.
+// from the version-keyed OnAppend ring, and apply time excludes it —
+// whether the mesh was created on this boot or recovered from disk.
 func TestAccessLogJournalSpans(t *testing.T) {
-	var buf bytes.Buffer
-	s := New(Config{DataDir: t.TempDir(), Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
-	mustCreate(t, s, "m", 6, 6)
-	buf.Reset()
+	for _, tc := range []struct {
+		name    string
+		recover bool
+	}{{"created", false}, {"recovered", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			cfg := Config{DataDir: t.TempDir(), Logger: slog.New(slog.NewJSONHandler(&buf, nil))}
+			s := New(cfg)
+			mustCreate(t, s, "m", 6, 6)
+			if tc.recover {
+				s = New(cfg)
+				if n, err := s.Recover(); err != nil || n != 1 {
+					t.Fatalf("Recover = (%d, %v), want (1, nil)", n, err)
+				}
+			}
+			buf.Reset()
 
-	rec := do(t, s, "POST", "/v1/meshes/m/faults", `{"ops":[{"op":"add","at":{"x":1,"y":1}}]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("faults: HTTP %d: %s", rec.Code, rec.Body)
-	}
-	l := logLines(t, &buf)
-	if len(l) != 1 {
-		t.Fatalf("got %d log lines, want 1", len(l))
-	}
-	for _, span := range []string{"apply_ms", "journal_append_ms"} {
-		if _, ok := l[0][span].(float64); !ok {
-			t.Errorf("fault commit log missing span %s: %v", span, l[0])
-		}
+			rec := do(t, s, "POST", "/v1/meshes/m/faults", `{"ops":[{"op":"add","at":{"x":1,"y":1}}]}`)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("faults: HTTP %d: %s", rec.Code, rec.Body)
+			}
+			l := logLines(t, &buf)
+			if len(l) != 1 {
+				t.Fatalf("got %d log lines, want 1", len(l))
+			}
+			for _, span := range []string{"apply_ms", "journal_append_ms"} {
+				if _, ok := l[0][span].(float64); !ok {
+					t.Errorf("fault commit log missing span %s: %v", span, l[0])
+				}
+			}
+		})
 	}
 }
 

@@ -29,8 +29,9 @@ func doAs(t *testing.T, s *Server, tenant, method, path, body string) *httptest.
 const routeBody = `{"src":{"x":0,"y":0},"dst":{"x":3,"y":3}}`
 
 // TestAdmissionRateLimit429 locks the overload surface: a tenant past
-// its budget gets 429 RESOURCE_EXHAUSTED with both Retry-After forms,
-// other tenants are unaffected, and /varz carries the per-tenant ledger.
+// its budget gets 429 RESOURCE_EXHAUSTED with both Retry-After forms, and
+// other tenants are unaffected. TestMetricsGolden pins the per-tenant
+// ledger and the mesh's RESOURCE_EXHAUSTED tally for the same traffic.
 func TestAdmissionRateLimit429(t *testing.T) {
 	s := New(Config{Admission: admission.Config{TenantRate: 0.001, TenantBurst: 2}})
 	mustCreate(t, s, "m", 6, 6)
@@ -60,21 +61,6 @@ func TestAdmissionRateLimit429(t *testing.T) {
 	// Tenant isolation: bob still has his own burst.
 	if rec := doAs(t, s, "bob", "POST", "/v1/meshes/m/route", routeBody); rec.Code != http.StatusOK {
 		t.Fatalf("bob rate-limited by alice: HTTP %d: %s", rec.Code, rec.Body)
-	}
-
-	v := s.Varz()
-	if v.Admission == nil {
-		t.Fatal("varz has no admission block")
-	}
-	if ts := v.Admission.Tenants["alice"]; ts.Admitted != 2 || ts.Rejected != 1 {
-		t.Fatalf("alice ledger = %+v, want 2 admitted / 1 rejected", ts)
-	}
-	if ts := v.Admission.Tenants["bob"]; ts.Admitted != 1 {
-		t.Fatalf("bob ledger = %+v, want 1 admitted", ts)
-	}
-	// The 429 also lands in the mesh's per-code error tally.
-	if n := v.Meshes["m"].Errors[meshroute.CodeResourceExhausted]; n != 1 {
-		t.Fatalf("mesh RESOURCE_EXHAUSTED tally = %d, want 1", n)
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -160,40 +159,24 @@ func TestReplicaUpsertResync(t *testing.T) {
 	}
 }
 
-// TestFollowerVarzReplication pins the /varz replication block a
-// follower exports from its tail stats.
+// TestFollowerVarzReplication checks the follower's replication series
+// on /metrics beyond the values TestMetricsGolden pins: a tail behind
+// since a known instant reports its age, and a leader exports none.
 func TestFollowerVarzReplication(t *testing.T) {
 	s := newFollower(t, "http://leader.example:8080")
-	s.SetReplication(func() map[string]cluster.TailStats {
-		return map[string]cluster.TailStats{
-			"m": {AppliedVersion: 5, LeaderVersion: 7, Reconnects: 2, GapsHealed: 1, LastError: "boom"},
-		}
-	})
-	v := s.Varz()
-	if v.Replication == nil {
-		t.Fatalf("follower /varz has no replication block")
-	}
-	got, err := json.Marshal(v.Replication)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	const golden = `{"leader":"http://leader.example:8080","meshes":{"m":{"applied_version":5,"leader_version":7,"version_lag":2,"lag_seconds":0,"reconnects":2,"gaps_healed":1,"last_error":"boom"}}}`
-	if string(got) != golden {
-		t.Fatalf("replication varz\n got %s\nwant %s", got, golden)
-	}
-
-	// A tail that has been behind since a known instant reports its age.
 	s.SetReplication(func() map[string]cluster.TailStats {
 		return map[string]cluster.TailStats{
 			"m": {AppliedVersion: 5, LeaderVersion: 7, BehindSince: time.Now().Add(-3 * time.Second)},
 		}
 	})
-	if lag := s.Varz().Replication.Meshes["m"].LagSeconds; lag < 2.5 || lag > 60 {
-		t.Fatalf("lag_seconds = %v, want ~3 (age of BehindSince)", lag)
+	if lag := scrape(t, s)[`meshd_replication_lag_seconds{mesh="m"}`]; lag < 2.5 || lag > 60 {
+		t.Fatalf("lag seconds = %v, want ~3 (age of BehindSince)", lag)
 	}
 
-	// A leader (no SetReplication) must not grow the block.
-	if lv := New(Config{}).Varz(); lv.Replication != nil {
-		t.Fatalf("leader /varz unexpectedly has a replication block")
+	// A leader (no SetReplication) must not export replication series.
+	for series := range scrape(t, New(Config{})) {
+		if strings.HasPrefix(series, "meshd_replication_") {
+			t.Fatalf("leader unexpectedly exports %s", series)
+		}
 	}
 }

@@ -4,27 +4,9 @@ import (
 	"time"
 
 	meshroute "repro"
-	"repro/internal/admission"
-	"repro/internal/engine"
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 )
-
-// latencyBounds are the upper bounds (inclusive) of the walk-latency
-// histogram buckets as /varz renders them, in microseconds; a final
-// implicit +Inf bucket catches the rest. They are the microsecond
-// spelling of telemetry.LatencyBounds — /metrics renders the same
-// histogram in seconds — so the two views (and meshload's client-side
-// summary) bucket identically.
-var latencyBounds = microBounds()
-
-func microBounds() []int64 {
-	out := make([]int64, len(telemetry.LatencyBounds))
-	for i, b := range telemetry.LatencyBounds {
-		out[i] = int64(b * 1e6)
-	}
-	return out
-}
 
 // collector accumulates per-mesh serving counters on telemetry
 // instruments. Its walk-side counters are fed by the engine's Metrics
@@ -32,12 +14,10 @@ func microBounds() []int64 {
 // stay allocation-free and lock-free; the HTTP-side error tally is
 // bumped by the handlers.
 type collector struct {
-	routes    telemetry.Counter // walks served (batch items included)
-	delivered telemetry.Counter // walks that reached the destination
-	hops      telemetry.Counter // total hops walked, for the mean
-	// walk is the walk-latency histogram in seconds; /varz renders it
-	// in microseconds, /metrics natively.
-	walk *telemetry.Histogram
+	routes    telemetry.Counter    // walks served (batch items included)
+	delivered telemetry.Counter    // walks that reached the destination
+	hops      telemetry.Counter    // total hops walked by delivered walks
+	walk      *telemetry.Histogram // walk latency in seconds
 
 	// httpErrors counts error outcomes by wire code — non-2xx responses
 	// plus per-item errors inside 200 NDJSON batch streams. The code set
@@ -87,171 +67,4 @@ func (c *collector) countError(code string) {
 		ctr = c.httpErrors[CodeInternal]
 	}
 	ctr.Inc()
-}
-
-// LatencyBucket is one cumulative-free histogram bucket of /varz: Count
-// walks finished in (previous bound, LEMicros].
-type LatencyBucket struct {
-	// LEMicros is the bucket's inclusive upper bound in microseconds;
-	// -1 marks the +Inf overflow bucket.
-	LEMicros int64  `json:"le_us"`
-	Count    uint64 `json:"count"`
-}
-
-// MeshVarz is the per-mesh block of /varz.
-type MeshVarz struct {
-	// Routes counts walks the engine served (every batch item counts).
-	Routes uint64 `json:"routes"`
-	// Delivered counts walks that reached their destination.
-	Delivered uint64 `json:"delivered"`
-	// MeanHops is the mean hop count over delivered walks.
-	MeanHops float64 `json:"mean_hops"`
-	// LatencyBuckets is the walk-latency histogram.
-	LatencyBuckets []LatencyBucket `json:"latency_buckets"`
-	// Errors counts error outcomes by wire code (zero-count codes are
-	// omitted): non-2xx responses plus per-item and stream_error records
-	// emitted inside 200 NDJSON batch streams — so the tally can exceed
-	// what HTTP access logs show.
-	Errors map[string]uint64 `json:"errors,omitempty"`
-	// OracleHits / OracleMisses are the distance-oracle counters,
-	// accumulated router-side across fault publications: a committed
-	// transaction rebases the oracle into the new snapshot instead of
-	// discarding it, and every generation feeds the same totals, so the
-	// served hit rate is monotone in the queries actually answered.
-	OracleHits   uint64 `json:"oracle_hits"`
-	OracleMisses uint64 `json:"oracle_misses"`
-	// OracleSamples is hits+misses — the denominator behind
-	// OracleHitRate, so a 0 rate at 0 samples ("oracle unused") is
-	// distinguishable from a 0 rate over real misses.
-	OracleSamples uint64 `json:"oracle_samples"`
-	// OracleHitRate is hits/samples; 0 (never NaN) when the oracle has
-	// answered no queries yet.
-	OracleHitRate float64 `json:"oracle_hit_rate"`
-	// RebuildCells is the cumulative number of cells the delta-scoped
-	// labeling fixpoint examined across all incremental publications —
-	// the work actually done instead of 4*nodes per commit.
-	RebuildCells uint64 `json:"rebuild_cells"`
-	// OracleCarried counts warm BFS fields carried across publications
-	// because the committed delta provably could not change them.
-	OracleCarried uint64 `json:"oracle_carried"`
-	// DeltaBuilds / FullBuilds split committed publications by rebuild
-	// strategy (delta-scoped vs full precompute fallback).
-	DeltaBuilds uint64 `json:"delta_builds"`
-	FullBuilds  uint64 `json:"full_builds"`
-	// Faults and SnapshotVersion identify the published configuration.
-	Faults          int    `json:"faults"`
-	SnapshotVersion uint64 `json:"snapshot_version"`
-	// Watchers counts live /watch subscriptions (plus library watchers);
-	// WatchEventsDropped counts fault events dropped on slow watchers
-	// since the mesh was registered.
-	Watchers           int    `json:"watchers"`
-	WatchEventsDropped uint64 `json:"watch_events_dropped"`
-	// Journal carries the durability gauges; nil when the server runs
-	// without a data dir.
-	Journal *JournalVarz `json:"journal,omitempty"`
-}
-
-// JournalVarz is the per-mesh durability block of /varz.
-type JournalVarz struct {
-	// Version is the last journaled snapshot version; it trails
-	// SnapshotVersion only within an in-flight commit.
-	Version uint64 `json:"version"`
-	// Records and Checkpoints count appends and compactions since the
-	// journal was opened (boot or mesh creation).
-	Records     uint64 `json:"records"`
-	Checkpoints uint64 `json:"checkpoints"`
-	// Errors counts append/compaction/flush failures; nonzero means the
-	// on-disk history stopped (see the server log and Journal.Err).
-	Errors uint64 `json:"errors"`
-	// SinceCheckpoint is the WAL tail length — the `?from=` resume
-	// window the watch endpoint can replay.
-	SinceCheckpoint int `json:"since_checkpoint"`
-}
-
-// ReplicaMeshVarz is one mesh's row of the /varz replication block.
-type ReplicaMeshVarz struct {
-	// AppliedVersion is the last leader snapshot version durably
-	// observed and published locally; LeaderVersion is the highest
-	// version the leader has announced on the stream, and VersionLag is
-	// their difference (0 when caught up).
-	AppliedVersion uint64 `json:"applied_version"`
-	LeaderVersion  uint64 `json:"leader_version"`
-	VersionLag     uint64 `json:"version_lag"`
-	// LagSeconds is how long this mesh has been behind the leader: the
-	// age of the oldest unapplied leader announcement, 0 when caught up.
-	LagSeconds float64 `json:"lag_seconds"`
-	// Reconnects counts watch-stream re-establishments (?from=
-	// re-resumes); GapsHealed counts full snapshot refetches forced by
-	// gap events or out-of-sync deltas.
-	Reconnects uint64 `json:"reconnects"`
-	GapsHealed uint64 `json:"gaps_healed"`
-	// LastError is the most recent stream error, empty while healthy.
-	LastError string `json:"last_error,omitempty"`
-}
-
-// ReplicationVarz is the follower-mode block of /varz.
-type ReplicationVarz struct {
-	// Leader is the leader base URL this server replicates.
-	Leader string `json:"leader"`
-	// Meshes carries per-mesh replication telemetry.
-	Meshes map[string]ReplicaMeshVarz `json:"meshes"`
-}
-
-// Varz is the body of GET /varz.
-type Varz struct {
-	UptimeSeconds float64              `json:"uptime_seconds"`
-	Meshes        map[string]*MeshVarz `json:"meshes"`
-	// Admission carries the overload-protection gauges (global inflight/
-	// queued plus per-tenant admitted/rejected/queued); nil when admission
-	// control is disabled.
-	Admission *admission.Stats `json:"admission,omitempty"`
-	// Replication carries the follower's per-mesh replication telemetry;
-	// nil on a leader (see Config.FollowerOf and SetReplication).
-	Replication *ReplicationVarz `json:"replication,omitempty"`
-}
-
-// varz renders the collector against the mesh's cumulative rebuild
-// stats and network stats.
-func (c *collector) varz(rs engine.RebuildStats, st meshroute.Stats) *MeshVarz {
-	v := &MeshVarz{
-		Routes:             c.routes.Value(),
-		Delivered:          c.delivered.Value(),
-		OracleHits:         rs.OracleHits,
-		OracleMisses:       rs.OracleMisses,
-		OracleSamples:      rs.OracleHits + rs.OracleMisses,
-		RebuildCells:       rs.RebuildCells,
-		OracleCarried:      rs.OracleCarried,
-		DeltaBuilds:        rs.DeltaBuilds,
-		FullBuilds:         rs.FullBuilds,
-		Faults:             st.PublishedFaults,
-		SnapshotVersion:    st.SnapshotVersion,
-		Watchers:           st.Watchers,
-		WatchEventsDropped: st.WatchEventsDropped,
-	}
-	if v.Delivered > 0 {
-		v.MeanHops = float64(c.hops.Value()) / float64(v.Delivered)
-	}
-	if v.OracleSamples > 0 {
-		v.OracleHitRate = float64(rs.OracleHits) / float64(v.OracleSamples)
-	}
-	buckets := make([]uint64, len(telemetry.LatencyBounds)+1)
-	c.walk.Snapshot(buckets)
-	v.LatencyBuckets = make([]LatencyBucket, len(buckets))
-	for i := range buckets {
-		le := int64(-1)
-		if i < len(latencyBounds) {
-			le = latencyBounds[i]
-		}
-		v.LatencyBuckets[i] = LatencyBucket{LEMicros: le, Count: buckets[i]}
-	}
-	errs := make(map[string]uint64)
-	for code, ctr := range c.httpErrors {
-		if n := ctr.Value(); n > 0 {
-			errs[code] = n
-		}
-	}
-	if len(errs) > 0 {
-		v.Errors = errs
-	}
-	return v
 }

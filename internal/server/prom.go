@@ -9,8 +9,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Metric names and help strings of GET /metrics. Everything /varz knows
-// renders here in Prometheus text-exposition form; the name table is
+// Metric names and help strings of GET /metrics, meshd's one stats
+// surface, in Prometheus text-exposition form. The name table is
 // documented in ARCHITECTURE.md ("Telemetry") and asserted present by
 // make metrics-smoke, so additions go in all three places.
 const (

@@ -2,12 +2,12 @@ package server
 
 import (
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	meshroute "repro"
 	"repro/internal/admission"
 	"repro/internal/cluster"
 	"repro/internal/routing"
@@ -32,6 +32,32 @@ func normalizeMetrics(text string) string {
 		}
 	}
 	return strings.Join(lines, "\n")
+}
+
+// scrape parses one GET /metrics exposition into a map from series, as
+// exposed (`meshd_routes_total{mesh="m"}`), to its sample value.
+func scrape(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	rec := do(t, s, "GET", "/metrics", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /metrics: HTTP %d", rec.Code)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("bad exposition line %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }
 
 // TestMetricsGolden pins the full Prometheus exposition byte for byte
@@ -274,28 +300,3 @@ func TestRouteServedAllocs(t *testing.T) {
 		t.Fatalf("collector did not record")
 	}
 }
-
-// TestVarzOracleZeroSamples pins the divide-by-zero fix: a mesh that has
-// never consulted its oracle reports hit rate 0 with samples 0 — not
-// NaN, not a missing field.
-func TestVarzOracleZeroSamples(t *testing.T) {
-	s := New(Config{})
-	mustCreate(t, s, "m", 6, 6)
-	mv := s.Varz().Meshes["m"]
-	if mv.OracleSamples != 0 {
-		t.Fatalf("oracle_samples = %d, want 0", mv.OracleSamples)
-	}
-	if mv.OracleHitRate != 0 {
-		t.Fatalf("oracle_hit_rate = %v, want exactly 0 at zero samples", mv.OracleHitRate)
-	}
-	// After an oracle-consulting route the samples appear.
-	if rec := do(t, s, "POST", "/v1/meshes/m/route", routeBody); rec.Code != http.StatusOK {
-		t.Fatalf("route: HTTP %d: %s", rec.Code, rec.Body)
-	}
-	mv = s.Varz().Meshes["m"]
-	if mv.OracleSamples == 0 {
-		t.Fatalf("oracle_samples still 0 after an oracle route")
-	}
-}
-
-var _ = meshroute.CodeOutsideMesh // keep the wire-code import anchored

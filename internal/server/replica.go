@@ -14,7 +14,6 @@ import (
 
 	meshroute "repro"
 	"repro/internal/cluster"
-	"repro/internal/engine"
 )
 
 // UpsertMesh implements cluster.Replica: it installs (or atomically
@@ -34,19 +33,16 @@ func (s *Server) UpsertMesh(name string, width, height int, faults []meshroute.C
 	if old, ok := s.reg.lookup(name); ok {
 		metrics = old.metrics
 	}
-	net, err := meshroute.Restore(width, height, faults, version, engine.Options{
-		OracleBound: s.cfg.OracleBound,
-		Metrics:     metrics,
-	})
-	if err != nil {
-		return fmt.Errorf("server: replica mesh %q restore v%d: %w", name, version, err)
-	}
 	e := &meshEntry{
 		name:     name,
-		net:      net,
 		metrics:  metrics,
 		deleted:  make(chan struct{}),
 		resynced: make(chan struct{}),
+	}
+	var err error
+	e.net, err = meshroute.Restore(width, height, faults, version, s.engineOptions(e))
+	if err != nil {
+		return fmt.Errorf("server: replica mesh %q restore v%d: %w", name, version, err)
 	}
 	displaced, err := s.reg.replace(e)
 	if err != nil {

@@ -14,7 +14,6 @@
 //	GET    /v1/meshes/{name}/faults        list faulty nodes    -> FaultList
 //	GET    /v1/meshes/{name}/watch         fault-event stream   NDJSON of WatchWireItem (?from= resumes)
 //	GET    /healthz                        liveness/drain state -> 200 ("ok") or 503 ("draining")
-//	GET    /varz                           serving counters     -> Varz
 //	GET    /metrics                        Prometheus text exposition (see prom.go)
 //
 // Every non-2xx response is a JSON errorBody whose WireError.Code comes
@@ -192,7 +191,7 @@ type Server struct {
 	// replMu guards the replication-telemetry hook installed by
 	// SetReplication (follower mode only).
 	replMu sync.Mutex
-	// replStats, when set, sources the /varz replication block.
+	// replStats, when set, sources the /metrics replication families.
 	//meshlint:guardedby replMu
 	replStats func() map[string]cluster.TailStats
 }
@@ -228,7 +227,6 @@ func New(cfg Config) *Server {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /varz", s.handleVarz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /v1/meshes", s.handleCreateMesh)
 	mux.HandleFunc("GET /v1/meshes", s.handleListMeshes)
@@ -266,9 +264,7 @@ func (s *Server) Recover() (int, error) {
 		}
 		name := d.Name()
 		dir := filepath.Join(s.cfg.DataDir, name)
-		at := &appendSpans{}
-		jopts := s.cfg.Journal
-		jopts.OnAppend = at.record
+		e, jopts := s.newMeshEntry(name)
 		j, st, err := journal.Open(dir, jopts)
 		if err != nil {
 			if journal.Abandoned(dir) {
@@ -280,17 +276,12 @@ func (s *Server) Recover() (int, error) {
 			}
 			return n, fmt.Errorf("server: recover mesh %q: %w", name, err)
 		}
-		metrics := newCollector()
-		net, err := meshroute.Restore(st.Width, st.Height, st.Faults, st.Version, engine.Options{
-			OracleBound: s.cfg.OracleBound,
-			Metrics:     metrics,
-			OnPublish:   publishToJournal(j),
-		})
+		e.journal = j
+		e.net, err = meshroute.Restore(st.Width, st.Height, st.Faults, st.Version, s.engineOptions(e))
 		if err != nil {
 			j.Close()
 			return n, fmt.Errorf("server: recover mesh %q: %w", name, err)
 		}
-		e := &meshEntry{name: name, net: net, metrics: metrics, journal: j, deleted: make(chan struct{})}
 		if err := s.reg.insert(e); err != nil {
 			j.Close()
 			return n, fmt.Errorf("server: recover mesh %q: %w", name, err)
@@ -300,12 +291,39 @@ func (s *Server) Recover() (int, error) {
 	return n, nil
 }
 
+// newMeshEntry starts the entry of a mesh being created or recovered: a
+// fresh collector and, on a persistent server, an append-span ring fed
+// by the OnAppend hook of the returned journal options, so handleFaults
+// can split its own commit's disk time out of the apply span. The caller
+// opens the journal with those options into e.journal, then builds e.net
+// with engineOptions(e).
+func (s *Server) newMeshEntry(name string) (*meshEntry, journal.Options) {
+	e := &meshEntry{name: name, metrics: newCollector(), deleted: make(chan struct{})}
+	jopts := s.cfg.Journal
+	if s.cfg.DataDir != "" {
+		e.appendTimes = &appendSpans{}
+		jopts.OnAppend = e.appendTimes.record
+	}
+	return e, jopts
+}
+
+// engineOptions returns the engine options of e's network: e's
+// collector as the walk hook and, when e has a journal, the journal as
+// the commit hook.
+func (s *Server) engineOptions(e *meshEntry) engine.Options {
+	opts := engine.Options{OracleBound: s.cfg.OracleBound, Metrics: e.metrics}
+	if e.journal != nil {
+		opts.OnPublish = publishToJournal(e.journal)
+	}
+	return opts
+}
+
 // publishToJournal adapts a journal into the engine's commit hook. The
 // hook runs inside the writer critical section and BEFORE the facade's
 // watch fan-out, so a watcher never observes an event whose journal
 // record could trail behind it. Append failures latch in the journal
-// (surfaced via /varz and Journal.Err), not in the commit path: routing
-// availability is not held hostage to a sick disk.
+// (surfaced via /metrics, /healthz and Journal.Err), not in the commit
+// path: routing availability is not held hostage to a sick disk.
 func publishToJournal(j *journal.Journal) func(uint64, engine.Delta) {
 	return func(version uint64, delta engine.Delta) {
 		_ = j.Append(version, delta.Adds, delta.Repairs)
@@ -515,72 +533,10 @@ func (s *Server) Health() Health {
 	return h
 }
 
-func (s *Server) handleVarz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Varz())
-}
-
-// Varz assembles the serving counters of every registered mesh.
-func (s *Server) Varz() Varz {
-	entries := s.reg.entries()
-	v := Varz{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Meshes:        make(map[string]*MeshVarz, len(entries)),
-	}
-	for _, e := range entries {
-		mv := e.metrics.varz(e.net.Engine().RebuildStats(), e.net.Stats())
-		if e.journal != nil {
-			js := e.journal.Stats()
-			mv.Journal = &JournalVarz{
-				Version:         js.Version,
-				Records:         js.Records,
-				Checkpoints:     js.Checkpoints,
-				Errors:          js.Errors,
-				SinceCheckpoint: js.SinceCheckpoint,
-			}
-		}
-		v.Meshes[e.name] = mv
-	}
-	if s.admission != nil {
-		st := s.admission.Stats()
-		v.Admission = &st
-	}
-	s.replMu.Lock()
-	stats := s.replStats
-	s.replMu.Unlock()
-	if stats != nil {
-		rv := &ReplicationVarz{
-			Leader: s.cfg.FollowerOf,
-			Meshes: make(map[string]ReplicaMeshVarz, len(entries)),
-		}
-		now := time.Now()
-		for name, ts := range stats() {
-			var lag uint64
-			if ts.LeaderVersion > ts.AppliedVersion {
-				lag = ts.LeaderVersion - ts.AppliedVersion
-			}
-			var lagSecs float64
-			if !ts.BehindSince.IsZero() {
-				lagSecs = now.Sub(ts.BehindSince).Seconds()
-			}
-			rv.Meshes[name] = ReplicaMeshVarz{
-				AppliedVersion: ts.AppliedVersion,
-				LeaderVersion:  ts.LeaderVersion,
-				VersionLag:     lag,
-				LagSeconds:     lagSecs,
-				Reconnects:     ts.Reconnects,
-				GapsHealed:     ts.GapsHealed,
-				LastError:      ts.LastError,
-			}
-		}
-		v.Replication = rv
-	}
-	return v
-}
-
 // SetReplication installs the follower's replication-telemetry source:
-// /varz gains a replication block built from stats() (one TailStats per
-// replicated mesh). cmd/meshd calls it once, after constructing the
-// cluster.Follower whose Stats method it hands in.
+// /metrics gains the meshd_replication_* families built from stats()
+// (one TailStats per replicated mesh). cmd/meshd calls it once, after
+// constructing the cluster.Follower whose Stats method it hands in.
 func (s *Server) SetReplication(stats func() map[string]cluster.TailStats) {
 	s.replMu.Lock()
 	s.replStats = stats
@@ -628,19 +584,9 @@ func (s *Server) handleCreateMesh(w http.ResponseWriter, r *http.Request) {
 		writeError(w, nil, we)
 		return
 	}
-	metrics := newCollector()
-	opts := engine.Options{
-		OracleBound: s.cfg.OracleBound,
-		Metrics:     metrics,
-	}
-	var j *journal.Journal
-	var at *appendSpans
+	e, jopts := s.newMeshEntry(req.Name)
 	if s.cfg.DataDir != "" {
-		var err error
-		at = &appendSpans{}
-		jopts := s.cfg.Journal
-		jopts.OnAppend = at.record
-		j, err = journal.Create(filepath.Join(s.cfg.DataDir, req.Name), req.Width, req.Height, jopts)
+		j, err := journal.Create(filepath.Join(s.cfg.DataDir, req.Name), req.Width, req.Height, jopts)
 		if err != nil {
 			s.reg.release(req.Name)
 			// With the name reserved, an existing directory here is
@@ -652,10 +598,9 @@ func (s *Server) handleCreateMesh(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		}
-		opts.OnPublish = publishToJournal(j)
+		e.journal = j
 	}
-	net := meshroute.NewWithEngineOptions(req.Width, req.Height, opts)
-	e := &meshEntry{name: req.Name, net: net, metrics: metrics, journal: j, appendTimes: at, deleted: make(chan struct{})}
+	e.net = meshroute.NewWithEngineOptions(req.Width, req.Height, s.engineOptions(e))
 	s.reg.commit(e)
 	writeJSON(w, http.StatusCreated, s.meshInfo(e, false))
 }

@@ -582,8 +582,9 @@ func TestBeginDrainFlipsHealthzOnly(t *testing.T) {
 	}
 }
 
-// TestVarz checks the serving counters: route counts, delivery, error
-// tallies, histogram mass, and the oracle hit rate on a repeated pair.
+// TestVarz checks the serving counters on /metrics: route counts,
+// delivery, mean hops, error tallies, histogram mass, and the oracle hit
+// rate on a repeated pair.
 func TestVarz(t *testing.T) {
 	s := New(Config{})
 	mustCreate(t, s, "m", 12, 12)
@@ -597,42 +598,34 @@ func TestVarz(t *testing.T) {
 	}
 	do(t, s, "POST", "/v1/meshes/m/route", `{"src":{"x":5,"y":5},"dst":{"x":0,"y":0}}`) // FAULTY_ENDPOINT
 
-	var v Varz
-	decode(t, do(t, s, "GET", "/varz", ""), &v)
-	mv, ok := v.Meshes["m"]
-	if !ok {
-		t.Fatalf("varz has no mesh m: %+v", v)
+	m := scrape(t, s)
+	routes, delivered := m[`meshd_routes_total{mesh="m"}`], m[`meshd_routes_delivered_total{mesh="m"}`]
+	if routes != 3 || delivered != 3 {
+		t.Fatalf("routes=%v delivered=%v, want 3/3 (rejected endpoints never reach the engine)", routes, delivered)
 	}
-	if mv.Routes != 3 || mv.Delivered != 3 {
-		t.Fatalf("routes=%d delivered=%d, want 3/3 (rejected endpoints never reach the engine)", mv.Routes, mv.Delivered)
+	if mean := m[`meshd_route_hops_total{mesh="m"}`] / delivered; mean != 11 {
+		t.Fatalf("mean hops = %v, want 11", mean)
 	}
-	if mv.MeanHops != 11 {
-		t.Fatalf("mean_hops = %v, want 11", mv.MeanHops)
+	if n := m[`meshd_wire_errors_total{mesh="m",code="FAULTY_ENDPOINT"}`]; n != 1 {
+		t.Fatalf("FAULTY_ENDPOINT errors = %v, want 1", n)
 	}
-	if mv.Errors["FAULTY_ENDPOINT"] != 1 {
-		t.Fatalf("errors = %v, want one FAULTY_ENDPOINT", mv.Errors)
-	}
-	var mass uint64
-	for _, b := range mv.LatencyBuckets {
-		mass += b.Count
-	}
-	if mass != 3 {
-		t.Fatalf("histogram mass = %d, want 3", mass)
+	if mass := m[`meshd_walk_latency_seconds_bucket{mesh="m",le="+Inf"}`]; mass != 3 {
+		t.Fatalf("histogram mass = %v, want 3", mass)
 	}
 	// Repeated identical pairs share one BFS field: 1 miss, then hits.
-	if mv.OracleMisses == 0 || mv.OracleHits < 2 || mv.OracleHitRate <= 0.5 {
-		t.Fatalf("oracle hits=%d misses=%d rate=%v, want cache reuse",
-			mv.OracleHits, mv.OracleMisses, mv.OracleHitRate)
+	hits, misses := m[`meshd_oracle_hits_total{mesh="m"}`], m[`meshd_oracle_misses_total{mesh="m"}`]
+	if misses == 0 || hits < 2 || hits/(hits+misses) <= 0.5 {
+		t.Fatalf("oracle hits=%v misses=%v, want cache reuse", hits, misses)
 	}
-	if mv.SnapshotVersion != 2 || mv.Faults != 3 {
-		t.Fatalf("snapshot=%d faults=%d, want 2/3", mv.SnapshotVersion, mv.Faults)
+	if v, f := m[`meshd_snapshot_version{mesh="m"}`], m[`meshd_faults{mesh="m"}`]; v != 2 || f != 3 {
+		t.Fatalf("snapshot=%v faults=%v, want 2/3", v, f)
 	}
 }
 
-// TestVarzRebuildGauges checks the incremental-rebuild gauges and the
-// hit-rate attribution fix: a fault publication must not reset the
-// oracle counters, and a delta the warm field provably cannot see keeps
-// it serving hits across the swap.
+// TestVarzRebuildGauges checks the incremental-rebuild counters on
+// /metrics and the hit-rate attribution: a fault publication must not
+// reset the oracle counters, and a delta the warm field provably cannot
+// see keeps it serving hits across the swap.
 func TestVarzRebuildGauges(t *testing.T) {
 	s := New(Config{})
 	mustCreate(t, s, "m", 9, 9)
@@ -649,14 +642,16 @@ func TestVarzRebuildGauges(t *testing.T) {
 			t.Fatalf("route %d: HTTP %d: %s", i, rec.Code, rec.Body)
 		}
 	}
-	var v0 Varz
-	decode(t, do(t, s, "GET", "/varz", ""), &v0)
-	m0 := v0.Meshes["m"]
-	if m0.DeltaBuilds == 0 || m0.RebuildCells == 0 {
-		t.Fatalf("wall publication should be delta-scoped: %+v", m0)
+	const (
+		hits   = `meshd_oracle_hits_total{mesh="m"}`
+		misses = `meshd_oracle_misses_total{mesh="m"}`
+	)
+	m0 := scrape(t, s)
+	if m0[`meshd_rebuild_delta_total{mesh="m"}`] == 0 || m0[`meshd_rebuild_cells_total{mesh="m"}`] == 0 {
+		t.Fatalf("wall publication should be delta-scoped: %v", m0)
 	}
-	if m0.OracleHits < 2 || m0.OracleMisses == 0 {
-		t.Fatalf("warmup hits=%d misses=%d, want cache reuse", m0.OracleHits, m0.OracleMisses)
+	if m0[hits] < 2 || m0[misses] == 0 {
+		t.Fatalf("warmup hits=%v misses=%v, want cache reuse", m0[hits], m0[misses])
 	}
 
 	// Publish a delta confined to the east half, then hit the carried
@@ -665,18 +660,17 @@ func TestVarzRebuildGauges(t *testing.T) {
 	if rec := do(t, s, "POST", "/v1/meshes/m/route", `{"src":{"x":1,"y":1},"dst":{"x":1,"y":7}}`); rec.Code != http.StatusOK {
 		t.Fatalf("post-publish route: HTTP %d: %s", rec.Code, rec.Body)
 	}
-	var v1 Varz
-	decode(t, do(t, s, "GET", "/varz", ""), &v1)
-	m1 := v1.Meshes["m"]
-	if m1.OracleCarried == 0 {
-		t.Fatalf("east-half delta should carry the west field: %+v", m1)
+	m1 := scrape(t, s)
+	if m1[`meshd_oracle_carried_total{mesh="m"}`] == 0 {
+		t.Fatalf("east-half delta should carry the west field: %v", m1)
 	}
-	if m1.OracleHits <= m0.OracleHits || m1.OracleMisses != m0.OracleMisses {
-		t.Fatalf("hits %d->%d misses %d->%d, want monotone hits on the carried field and no new miss",
-			m0.OracleHits, m1.OracleHits, m0.OracleMisses, m1.OracleMisses)
+	if m1[hits] <= m0[hits] || m1[misses] != m0[misses] {
+		t.Fatalf("hits %v->%v misses %v->%v, want monotone hits on the carried field and no new miss",
+			m0[hits], m1[hits], m0[misses], m1[misses])
 	}
-	if m1.OracleHitRate <= m0.OracleHitRate {
-		t.Fatalf("hit rate regressed across publication: %v -> %v", m0.OracleHitRate, m1.OracleHitRate)
+	rate0, rate1 := m0[hits]/(m0[hits]+m0[misses]), m1[hits]/(m1[hits]+m1[misses])
+	if rate1 <= rate0 {
+		t.Fatalf("hit rate regressed across publication: %v -> %v", rate0, rate1)
 	}
 }
 

@@ -281,9 +281,8 @@ func TestRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVarzJournalAndWatchGauges checks the new /varz blocks: journal
-// record/checkpoint counters on a persistent server and the live
-// watcher gauge.
+// TestVarzJournalAndWatchGauges checks the journal counters of a
+// persistent server and the live watcher gauge on /metrics.
 func TestVarzJournalAndWatchGauges(t *testing.T) {
 	s := New(Config{DataDir: t.TempDir()})
 	ts := httptest.NewServer(s.Handler())
@@ -297,25 +296,22 @@ func TestVarzJournalAndWatchGauges(t *testing.T) {
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		v := s.Varz()
-		mv := v.Meshes["w"]
-		if mv == nil {
-			t.Fatal("varz missing mesh w")
+		m := scrape(t, s)
+		if _, ok := m[`meshd_journal_records_total{mesh="w"}`]; !ok {
+			t.Fatalf("no journal series on a persistent server: %v", m)
 		}
-		if mv.Journal == nil {
-			t.Fatal("varz missing journal block on a persistent server")
+		if r, v := m[`meshd_journal_records_total{mesh="w"}`], m[`meshd_journal_version{mesh="w"}`]; r != 2 || v != 3 {
+			t.Fatalf("journal records=%v version=%v, want 2 records at v3", r, v)
 		}
-		if mv.Journal.Records != 2 || mv.Journal.Version != 3 {
-			t.Fatalf("journal varz = %+v, want 2 records at v3", mv.Journal)
+		if v := m[`meshd_snapshot_version{mesh="w"}`]; v != 3 {
+			t.Fatalf("snapshot version = %v, want 3", v)
 		}
-		if mv.SnapshotVersion != 3 {
-			t.Fatalf("varz snapshot_version = %d, want 3", mv.SnapshotVersion)
-		}
-		if mv.Watchers == 1 {
+		watchers := m[`meshd_watchers{mesh="w"}`]
+		if watchers == 1 {
 			break // the stream handler has subscribed
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("varz watchers = %d, want 1", mv.Watchers)
+			t.Fatalf("watchers = %v, want 1", watchers)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -180,10 +180,10 @@ func BenchmarkDistancePerPair(b *testing.B) {
 	}
 }
 
-// TestOracleStats locks the hit/miss accounting the serving layer's
-// /varz hit rate reads: a fresh field is a miss, any query answered by a
-// resident field (same source, symmetric endpoint, or Field reuse) is a
-// hit.
+// TestOracleStats locks the hit/miss accounting behind the serving
+// layer's meshd_oracle_hits_total and meshd_oracle_misses_total: a fresh
+// field is a miss, any query answered by a resident field (same source,
+// symmetric endpoint, or Field reuse) is a hit.
 func TestOracleStats(t *testing.T) {
 	f := oracleFaults(t, 12, 0, 1)
 	o := NewOracle(f, 0)

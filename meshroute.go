@@ -42,8 +42,8 @@
 //     network at a recovered fault set and snapshot version (crash
 //     recovery, see internal/journal).
 //
-// The pre-v1 methods (RouteLegacy, RouteBatchLegacy, and the single-edit
-// mutators) remain as thin shims over the same machinery.
+// The single-edit mutators (AddFault, AddLinkFault, RepairFault,
+// InjectRandom) are one-edit Apply transactions.
 //
 // # Serving
 //
@@ -58,14 +58,15 @@
 // Routing runs on the concurrent engine of internal/engine: Apply builds
 // the next fault configuration off to the side and publishes an immutable
 // precomputed snapshot behind an atomic pointer. Every Network method is
-// safe to call from any goroutine: writers (Apply and the legacy mutators)
-// are serialized by a short internal mutex, while the routing hot path and
-// all reads (Faulty, FaultCount, Connected, Stats, Analysis) run lock-free
-// against the published snapshot — one Route pins one snapshot for its
-// whole call (walk and oracle included), so concurrent fault publications
-// never produce a mixed-configuration result, and no reader ever observes
-// a partially applied transaction. RouteBatch additionally fans one batch
-// of pairs out across a worker pool, all served from a single snapshot.
+// safe to call from any goroutine: writers (Apply and the single-edit
+// mutators) are serialized by a short internal mutex, while the routing
+// hot path and all reads (Faulty, FaultCount, Connected, Stats, Analysis)
+// run lock-free against the published snapshot — one Route pins one
+// snapshot for its whole call (walk and oracle included), so concurrent
+// fault publications never produce a mixed-configuration result, and no
+// reader ever observes a partially applied transaction. RouteBatch
+// additionally fans one batch of pairs out across a worker pool, all
+// served from a single snapshot.
 package meshroute
 
 import (
@@ -149,8 +150,7 @@ func New(w, h int) *Network { return NewWithEngineOptions(w, h, engine.Options{}
 // (engine.Options.Metrics), a commit observer (OnPublish — journaling
 // layers use it; the network chains its own Watch fan-out after it),
 // bound the oracle cache (OracleBound), or narrow the precomputed
-// information models (Models). opts.Routing.Rng and opts.Routing.Scratch
-// must be nil, as for engine.New.
+// information models (Models).
 func NewWithEngineOptions(w, h int, opts engine.Options) *Network {
 	return newNetwork(mesh.New(w, h), func(m mesh.Mesh) *fault.Set { return fault.NewSet(m) }, opts)
 }
@@ -198,17 +198,6 @@ func newNetwork(m mesh.Mesh, seed func(mesh.Mesh) *fault.Set, opts engine.Option
 			user(version, delta)
 		}
 		n.fanout(version, delta)
-	}
-	// Skip the per-publication O(nodes) delta diff entirely when nobody
-	// can observe it: no caller hook (journal) and no live watcher.
-	opts.OnPublishNeeded = func() bool {
-		if user != nil {
-			return true
-		}
-		n.watchMu.Lock()
-		live := len(n.watchers) > 0
-		n.watchMu.Unlock()
-		return live
 	}
 	n.router = engine.New(seed(m), opts)
 	return n
@@ -345,45 +334,6 @@ func finishResponse(snap *engine.Snapshot, cfg routeConfig, s, d Coord, res engi
 	}
 	resp.OracleDuration = oracleDur
 	return resp, nil
-}
-
-// Result reports one routing of the pre-v1 API, with oracle comparisons
-// flattened in.
-//
-// Deprecated: API v1 returns RouteResponse; Result remains for
-// RouteLegacy callers.
-type Result struct {
-	// Path is the node sequence walked, source first.
-	Path []Coord
-	// Hops is the walked length.
-	Hops int
-	// Optimal is the true shortest-path length D(s,d) from the BFS oracle.
-	Optimal int
-	// Shortest reports whether the walk achieved the optimum.
-	Shortest bool
-	// Phases counts intermediate detour destinations used.
-	Phases int
-	// ManhattanFeasible reports whether a Manhattan-distance path existed.
-	ManhattanFeasible bool
-}
-
-// RouteLegacy routes with the pre-v1 calling convention.
-//
-// Deprecated: use Route with a RouteRequest and WithAlgorithm; it adds
-// context cancellation and typed errors.
-func (n *Network) RouteLegacy(algo Algorithm, s, d Coord) (Result, error) {
-	resp, err := n.Route(context.Background(), RouteRequest{Src: s, Dst: d}, WithAlgorithm(algo))
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Path:              resp.Path,
-		Hops:              resp.Hops,
-		Optimal:           resp.Oracle.Optimal,
-		Shortest:          resp.Oracle.Shortest,
-		Phases:            resp.Phases,
-		ManhattanFeasible: resp.Oracle.ManhattanFeasible,
-	}, nil
 }
 
 // Engine returns the routing engine serving this network. The returned

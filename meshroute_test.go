@@ -134,35 +134,6 @@ func TestFacadeAnalysisViews(t *testing.T) {
 	}
 }
 
-// TestFacadeLegacyShims locks the deprecated pre-v1 surface onto the v1
-// machinery: same outcomes, flattened result shape.
-func TestFacadeLegacyShims(t *testing.T) {
-	net := NewSquare(12)
-	for _, c := range []Coord{C(4, 6), C(5, 5), C(6, 4)} {
-		if err := net.AddFault(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := net.RouteLegacy(RB2, C(5, 2), C(5, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := net.Route(context.Background(), RouteRequest{Src: C(5, 2), Dst: C(5, 9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hops != resp.Hops || res.Optimal != resp.Oracle.Optimal || res.Shortest != resp.Oracle.Shortest {
-		t.Errorf("legacy shim diverged: %+v vs %+v", res, resp)
-	}
-	if _, err := net.RouteLegacy(RB2, C(5, 5), C(5, 9)); err == nil {
-		t.Error("legacy route accepted a faulty source")
-	}
-	out := net.RouteBatchLegacy(RB2, []Pair{{S: C(5, 2), D: C(5, 9)}}, 1)
-	if len(out) != 1 || out[0].Err != nil || out[0].Res.Hops != resp.Hops {
-		t.Errorf("legacy batch diverged: %+v", out)
-	}
-}
-
 // TestFacadeStatsGauges covers the published/pending split of the Stats
 // API: pending edits are visible mid-transaction, the published count
 // moves only after commit, and the snapshot version advances by exactly

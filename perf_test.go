@@ -154,5 +154,5 @@ func TestBatchScratchPanics(t *testing.T) {
 	}()
 	opts := *net.opts.Load()
 	opts.Scratch = routing.NewScratch(mesh.Square(8))
-	net.Engine().RouteBatchWith(RB2, []Pair{{S: C(0, 0), D: C(7, 7)}}, 2, opts)
+	net.Engine().Snapshot().BatchStream(context.Background(), RB2, []Pair{{S: C(0, 0), D: C(7, 7)}}, 2, opts)
 }

@@ -87,7 +87,7 @@ func (w *Watch) lock()   { w.mu.Lock() }
 func (w *Watch) unlock() { w.mu.Unlock() }
 
 // Watch subscribes to the network's committed fault transactions: every
-// Apply (and every direct engine Swap/Update) that publishes a snapshot
+// Apply (and every direct engine Swap) that publishes a snapshot
 // after this call is delivered as one FaultEvent, in version order with
 // no duplicates. Events the consumer does not keep up with are dropped
 // oldest-first once the bounded buffer fills; the next delivered event
