@@ -3,10 +3,12 @@
 GO ?= go
 # Machine-readable benchmark output (see bench-json).
 BENCH_JSON ?= BENCH_routing.json
-BENCH_PATTERN ?= BenchmarkRoute|BenchmarkOracle|BenchmarkDistance|BenchmarkManhattan|BenchmarkServe
-# Benchmarked packages: the facade's routing/engine benchmarks, the
-# spath oracle benchmarks (ManhattanReachable and the cached-vs-per-pair
-# BFS comparison), and the HTTP serving-path benchmarks.
+BENCH_PATTERN ?= BenchmarkRoute|BenchmarkOracle|BenchmarkDistance|BenchmarkManhattan|BenchmarkServe|BenchmarkMCCExtract|BenchmarkLabeling100x100|BenchmarkDistributedLabeling
+# Benchmarked packages: the facade's routing/engine benchmarks and the
+# analysis-layer ones beside them (labeling, distributed labeling, MCC
+# extraction), the spath oracle benchmarks (ManhattanReachable and the
+# cached-vs-per-pair BFS comparison), and the HTTP serving-path
+# benchmarks.
 BENCH_PKGS ?= . ./internal/spath ./internal/server
 # Explicit iteration count: "50x" runs every matched benchmark exactly 50
 # times in one invocation instead of go test's time-based calibration,
@@ -147,7 +149,7 @@ bench-compare:
 	fi; \
 	tmp=$$(mktemp -d); status=1; \
 	if git worktree add -q $$tmp/base $(BENCH_BASE); then \
-		( cd $$tmp/base && $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -benchmem ./... > $$tmp/old.txt 2>/dev/null || true ); \
+		( cd $$tmp/base && $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -benchmem $(BENCH_PKGS) > $$tmp/old.txt 2>/dev/null || true ); \
 		( cd $$tmp/base && $(GO) test -run '^$$' -bench '$(APPLY_BENCH_PATTERN)' -benchtime $(APPLY_BENCH_TIME) -count $(BENCH_COUNT) -benchmem . >> $$tmp/old.txt 2>/dev/null || true ); \
 		if $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -benchmem $(BENCH_PKGS) > $$tmp/new.txt && \
 			$(GO) test -run '^$$' -bench '$(APPLY_BENCH_PATTERN)' -benchtime $(APPLY_BENCH_TIME) -count $(BENCH_COUNT) -benchmem . >> $$tmp/new.txt; then \

@@ -60,14 +60,11 @@ func TestStoreInvariantsAcrossDensities(t *testing.T) {
 				}
 				if model == B3 {
 					for _, f := range set.All() {
-						for _, succ := range s.SuccessorsY(f) {
-							if !set.IsSuccessorY(f, succ) {
-								t.Fatalf("invalid type-I relation %v -> %v", f, succ)
-							}
-						}
-						for _, succ := range s.SuccessorsX(f) {
-							if !set.IsSuccessorX(f, succ) {
-								t.Fatalf("invalid type-II relation %v -> %v", f, succ)
+						for _, a := range mcc.Axes {
+							for _, succ := range s.Successors(a, f) {
+								if !set.IsSuccessor(a, f, succ) {
+									t.Fatalf("invalid relation along %v: %v -> %v", a, f, succ)
+								}
 							}
 						}
 					}
@@ -95,12 +92,12 @@ func TestB2InformsForbiddenRegions(t *testing.T) {
 				continue // corner occupied: walks start degraded
 			}
 			m.EachNode(func(c mesh.Coord) {
-				if !g.Safe(c) || !f.InForbiddenY(c) {
+				if !g.Safe(c) || !f.InForbidden(mcc.AxisY, c) {
 					return
 				}
 				has := false
 				for _, tr := range s.TriplesAt(c) {
-					if tr.F == f && tr.Kind.GuardsY() {
+					if tr.F == f && tr.Kind.Axis() == mcc.AxisY {
 						has = true
 					}
 				}

@@ -34,7 +34,8 @@ func storeDigest(s *Store) string {
 		}
 	}
 	for _, f := range s.Set().All() {
-		for _, succ := range [][]*mcc.MCC{s.SuccessorsY(f), s.SuccessorsX(f)} {
+		for _, a := range mcc.Axes {
+			succ := s.Successors(a, f)
 			put(int64(len(succ)))
 			for _, g := range succ {
 				put(int64(g.ID))

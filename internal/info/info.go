@@ -71,7 +71,9 @@ type Kind uint8
 
 // Triple kinds. The Y kinds guard the +Y direction (type-I, forbidden
 // region below the component); the X kinds guard +X (type-II, forbidden
-// region west of it).
+// region west of it). The order is fixed: Kind.Axis and the walks compute
+// kinds from it (Kind(a)<<1 for a's minus boundary, plus 1 for its plus
+// boundary), and the store digests hash the values.
 const (
 	// RYMinusX: (F, R_Y, R'_Y) carried by the -X boundary (west side).
 	RYMinusX Kind = iota
@@ -98,24 +100,19 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// GuardsY reports whether the triple's regions concern +Y blocking.
-func (k Kind) GuardsY() bool { return k == RYMinusX || k == RYPlusX }
+// Axis returns the axis whose region pair the triple describes: AxisY for
+// the RY kinds, AxisX for the RX kinds. It runs per stored triple on every
+// routing hop, so it shifts rather than branches.
+func (k Kind) Axis() mcc.Axis { return mcc.Axis(k >> 1) }
 
 // Triple is one unit of boundary information stored at a node: the shape of
 // an MCC together with which of its region pairs the carrying boundary
 // describes. The regions themselves are derived from the shape on demand
-// (mcc.InForbiddenY etc.), exactly as a real node would compute them from
-// the received shape description.
+// (mcc.MCC.InForbidden and InCritical along Kind.Axis), exactly as a real
+// node would compute them from the received shape description.
 type Triple struct {
 	F    *mcc.MCC
 	Kind Kind
-}
-
-// Relation is a succeeding-MCC record of model B3: Pred precedes Succ in a
-// type-I (or, with TypeII set, type-II) blocking sequence candidate.
-type Relation struct {
-	Pred, Succ *mcc.MCC
-	TypeII     bool
 }
 
 // Store holds the outcome of one information model's propagation over one
@@ -130,12 +127,11 @@ type Store struct {
 	// order: one exactly sized table, with no slice header per node.
 	arena []Triple
 	off   []int32
-	// relations, keyed by predecessor MCC ID, per axis. Globally indexed:
-	// the protocol distributes the records along every boundary of the
-	// participating components, so any node holding the component's triple
-	// may consult them.
-	succOfY map[int][]*mcc.MCC
-	succOfX map[int][]*mcc.MCC
+	// succOf[a] holds the relations along axis a, keyed by predecessor MCC
+	// ID. Globally indexed: the protocol distributes the records along
+	// every boundary of the participating components, so any node holding
+	// the component's triple may consult them.
+	succOf [2]map[int][]*mcc.MCC
 
 	participants int // propagation participants (Figure 5(c) numerator)
 	messages     int64
@@ -158,8 +154,8 @@ type depRec struct {
 // relRec is one accepted succeeding-MCC relation of the logging
 // component; the walking component is always the successor.
 type relRec struct {
-	pred   *mcc.MCC
-	typeII bool
+	pred *mcc.MCC
+	axis mcc.Axis
 }
 
 // compLog is the exact contribution of one component's propagation
@@ -202,11 +198,9 @@ func (s *Store) TriplesAt(u mesh.Coord) []Triple {
 // paper's "boundary node" test that gates RB3's sequence reconstruction.
 func (s *Store) HasInfo(u mesh.Coord) bool { return len(s.TriplesAt(u)) > 0 }
 
-// SuccessorsY returns the recorded type-I succeeding components of f.
-func (s *Store) SuccessorsY(f *mcc.MCC) []*mcc.MCC { return s.succOfY[f.ID] }
-
-// SuccessorsX returns the recorded type-II succeeding components of f.
-func (s *Store) SuccessorsX(f *mcc.MCC) []*mcc.MCC { return s.succOfX[f.ID] }
+// Successors returns the recorded succeeding components of f along a
+// (type-I for AxisY, type-II for AxisX).
+func (s *Store) Successors(a mcc.Axis, f *mcc.MCC) []*mcc.MCC { return s.succOf[a][f.ID] }
 
 // Participants returns how many distinct nodes the propagation touched.
 func (s *Store) Participants() int { return s.participants }
@@ -267,8 +261,7 @@ type builder struct {
 const (
 	markFootprint uint8 = 1 << (4 + iota) // logged in the stage footprint
 	markVisit                             // logged in the stage visits
-	markSeenY                             // reached by the R_Y flood
-	markSeenX                             // reached by the R_X flood
+	markSeen                              // reached by the flood along axis a, as markSeen<<a
 )
 
 // mark sets bit among node idx's stage marks and reports whether it was
@@ -297,24 +290,23 @@ func (b *builder) stage(f *mcc.MCC) *compLog {
 		reads:     b.lg.reads[:0],
 		relations: b.lg.relations[:0],
 	}
+	// The store digests hash deposit order, which is walk order: -X, -Y,
+	// then under B2 +X, +Y and the two floods.
 	b.identificationWalks(f)
-	switch b.model {
-	case B1:
-		b.boundaryMinusX(f, false)
-		b.boundaryMinusY(f, false)
-	case B2:
-		joinedX := b.boundaryMinusX(f, false)
-		joinedY := b.boundaryMinusY(f, false)
-		joinedX = append(joinedX, b.boundaryPlusX(f)...)
-		joinedY = append(joinedY, b.boundaryPlusY(f)...)
+	var joined [2][]*mcc.MCC
+	for _, a := range mcc.Axes {
+		joined[a] = b.boundaryMinus(f, a, b.model == B3)
+	}
+	if b.model == B2 {
+		for _, a := range mcc.Axes {
+			joined[a] = append(joined[a], b.boundaryPlus(f, a)...)
+		}
 		// The boundary deposits are exactly the nodes holding f's
 		// triples when the floods start: the flood seeds.
 		seeds := len(b.lg.deposits)
-		b.flood(f, joinedX, seeds, floodY)
-		b.flood(f, joinedY, seeds, floodX)
-	case B3:
-		b.boundaryMinusX(f, true)
-		b.boundaryMinusY(f, true)
+		for _, a := range mcc.Axes {
+			b.flood(f, joined[a], seeds, a)
+		}
 	}
 	return &compLog{
 		footprint: slices.Clone(b.lg.footprint),
@@ -383,10 +375,10 @@ func (b *builder) depositAt(idx int, k Kind) {
 	}
 }
 
-// addRelation records pred -> the walking component for the given axis,
+// addRelation records pred -> the walking component along axis a,
 // deduplicated.
-func (b *builder) addRelation(pred *mcc.MCC, typeII bool) {
-	r := relRec{pred: pred, typeII: typeII}
+func (b *builder) addRelation(pred *mcc.MCC, a mcc.Axis) {
+	r := relRec{pred: pred, axis: a}
 	if !slices.Contains(b.lg.relations, r) {
 		b.lg.relations = append(b.lg.relations, r)
 	}
@@ -397,8 +389,9 @@ func (b *builder) addRelation(pred *mcc.MCC, typeII bool) {
 // filled by a counting sort into one exactly sized arena.
 func (b *builder) assemble() {
 	s := b.Store
-	s.succOfY = make(map[int][]*mcc.MCC)
-	s.succOfX = make(map[int][]*mcc.MCC)
+	for _, a := range mcc.Axes {
+		s.succOf[a] = make(map[int][]*mcc.MCC)
+	}
 	s.off = make([]int32, s.m.Nodes()+1)
 	b.epoch++ // fresh marks count each participant once
 	for _, f := range s.set.All() {
@@ -410,10 +403,7 @@ func (b *builder) assemble() {
 			}
 		}
 		for _, r := range lg.relations {
-			tbl := s.succOfY
-			if r.typeII {
-				tbl = s.succOfX
-			}
+			tbl := s.succOf[r.axis]
 			tbl[r.pred.ID] = append(tbl[r.pred.ID], f)
 		}
 		for _, d := range lg.deposits {

@@ -29,18 +29,19 @@ func TestContoursAreWalkable(t *testing.T) {
 		g := labeling.Compute(fault.Uniform{}.Generate(m, 5+r.Intn(40), r), labeling.BorderSafe)
 		set := mcc.Extract(g)
 		for _, f := range set.All() {
-			for name, pts := range map[string][]mesh.Coord{"NW": contourNW(f), "SE": contourSE(f)} {
+			for _, a := range mcc.Axes {
+				pts := contour(f, a)
 				if pts[0] != f.Corner() || pts[len(pts)-1] != f.Opposite() {
-					t.Fatalf("trial %d %s contour of %v: ends %v..%v, want %v..%v",
-						trial, name, f, pts[0], pts[len(pts)-1], f.Corner(), f.Opposite())
+					t.Fatalf("trial %d %v contour of %v: ends %v..%v, want %v..%v",
+						trial, a, f, pts[0], pts[len(pts)-1], f.Corner(), f.Opposite())
 				}
 				for i, c := range pts {
 					if f.Contains(c) {
-						t.Fatalf("trial %d %s contour of %v passes through the component at %v", trial, name, f, c)
+						t.Fatalf("trial %d %v contour of %v passes through the component at %v", trial, a, f, c)
 					}
 					if i > 0 {
 						if _, adj := pts[i-1].DirTo(c); !adj {
-							t.Fatalf("trial %d %s contour of %v teleports %v -> %v", trial, name, f, pts[i-1], c)
+							t.Fatalf("trial %d %v contour of %v teleports %v -> %v", trial, a, f, pts[i-1], c)
 						}
 					}
 				}
@@ -190,7 +191,7 @@ func TestB3RecordsRelations(t *testing.T) {
 	if fv == nil || fc == nil {
 		t.Fatal("components not found")
 	}
-	succs := s.SuccessorsY(fv)
+	succs := s.Successors(mcc.AxisY, fv)
 	found := false
 	for _, g := range succs {
 		if g == fc {
@@ -203,7 +204,7 @@ func TestB3RecordsRelations(t *testing.T) {
 	// The non-chain pair (free column between spans) records nothing.
 	s2, set2 := build(t, B3, mesh.Square(12), mesh.C(3, 5), mesh.C(4, 5), mesh.C(6, 6))
 	for _, f := range set2.All() {
-		if len(s2.SuccessorsY(f)) != 0 {
+		if len(s2.Successors(mcc.AxisY, f)) != 0 {
 			t.Errorf("free-gap pair recorded a type-I relation from %v", f)
 		}
 	}
@@ -307,8 +308,13 @@ func TestModelAndKindStrings(t *testing.T) {
 			t.Errorf("kind %d = %q, want %q", k, k.String(), want)
 		}
 	}
-	if !RYMinusX.GuardsY() || !RYPlusX.GuardsY() || RXMinusY.GuardsY() || RXPlusY.GuardsY() {
-		t.Error("GuardsY wrong")
+	// Kind.Axis shifts rather than branches, so the declaration order is
+	// pinned: RY/-X, RY/+X, RX/-Y, RX/+Y.
+	axes := map[Kind]mcc.Axis{RYMinusX: mcc.AxisY, RYPlusX: mcc.AxisY, RXMinusY: mcc.AxisX, RXPlusY: mcc.AxisX}
+	for k, want := range axes {
+		if k.Axis() != want {
+			t.Errorf("kind %v axis = %v, want %v", k, k.Axis(), want)
+		}
 	}
 	if Kind(9).String() != "Kind(9)" {
 		t.Error("unknown kind string")

@@ -84,7 +84,7 @@ func remapLog(lg *compLog, carried map[*mcc.MCC]*mcc.MCC) *compLog {
 	if len(lg.relations) > 0 {
 		nl.relations = make([]relRec, len(lg.relations))
 		for i, r := range lg.relations {
-			nl.relations[i] = relRec{pred: carried[r.pred], typeII: r.typeII}
+			nl.relations[i] = relRec{pred: carried[r.pred], axis: r.axis}
 		}
 	}
 	return nl

@@ -33,13 +33,10 @@ func storesEqual(t *testing.T, got, want *Store) {
 			}
 		}
 	}
-	for _, tbl := range []int{0, 1} {
-		gm, wm := got.succOfY, want.succOfY
-		if tbl == 1 {
-			gm, wm = got.succOfX, want.succOfX
-		}
+	for _, a := range mcc.Axes {
+		gm, wm := got.succOf[a], want.succOf[a]
 		if len(gm) != len(wm) {
-			t.Fatalf("relation table %d: %d preds, want %d", tbl, len(gm), len(wm))
+			t.Fatalf("relation table %v: %d preds, want %d", a, len(gm), len(wm))
 		}
 		for pred, wsucc := range wm {
 			gsucc := gm[pred]

@@ -285,10 +285,6 @@ func Compute(f *fault.Set, policy BorderPolicy) *Grid {
 	return g
 }
 
-// Recompute relabels after the fault set changed, reusing no state; it
-// exists so callers expressing "inject, then relabel" read naturally.
-func Recompute(f *fault.Set, policy BorderPolicy) *Grid { return Compute(f, policy) }
-
 // Counts returns how many nodes display each status (a dual-labeled node
 // counts once, as useless, per Status precedence).
 func (g *Grid) Counts() (safe, faulty, useless, cantReach int) {

@@ -198,7 +198,7 @@ func TestRecomputeAfterRepair(t *testing.T) {
 		t.Fatalf("pre-repair unsafe = %d", g.UnsafeCount())
 	}
 	f.Remove(mesh.C(5, 5))
-	g = Recompute(f, BorderSafe)
+	g = Compute(f, BorderSafe)
 	if g.UnsafeCount() != 2 {
 		t.Fatalf("post-repair unsafe = %d, want 2", g.UnsafeCount())
 	}

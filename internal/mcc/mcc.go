@@ -29,6 +29,7 @@ package mcc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/labeling"
 	"repro/internal/mesh"
@@ -82,10 +83,6 @@ func (f *MCC) Opposite() mesh.Coord {
 	return mesh.C(f.X1+1, f.ColHi[len(f.ColHi)-1]+1)
 }
 
-// Top returns the highest row occupied (y of the north-east cell); the
-// paper writes it as y_{c'} - 1.
-func (f *MCC) Top() int { return f.Y1 }
-
 // String identifies the component for logs and errors.
 func (f *MCC) String() string {
 	return fmt.Sprintf("F%d%v", f.ID, f.Bounds())
@@ -98,37 +95,25 @@ func (f *MCC) Validate() error {
 	if f.X1 < f.X0 || f.Y1 < f.Y0 {
 		return fmt.Errorf("mcc %v: empty span", f)
 	}
-	if len(f.ColLo) != f.X1-f.X0+1 || len(f.ColHi) != len(f.ColLo) {
-		return fmt.Errorf("mcc %v: column profile length mismatch", f)
-	}
-	if len(f.RowLo) != f.Y1-f.Y0+1 || len(f.RowHi) != len(f.RowLo) {
-		return fmt.Errorf("mcc %v: row profile length mismatch", f)
-	}
-	cells := 0
-	for i := range f.ColLo {
-		if f.ColLo[i] > f.ColHi[i] {
-			return fmt.Errorf("mcc %v: column %d empty interval", f, f.X0+i)
+	spans := [2]int{f.X1 - f.X0 + 1, f.Y1 - f.Y0 + 1}
+	for _, a := range Axes {
+		first, lo, hi := f.Profile(a)
+		if len(lo) != spans[a] || len(hi) != len(lo) {
+			return fmt.Errorf("mcc %v: profile along %v has %d/%d lines, want %d", f, a, len(lo), len(hi), spans[a])
 		}
-		if i > 0 && (f.ColLo[i] < f.ColLo[i-1] || f.ColHi[i] < f.ColHi[i-1]) {
-			return fmt.Errorf("mcc %v: column profile not monotone at %d", f, f.X0+i)
+		cells := 0
+		for i := range lo {
+			if lo[i] > hi[i] {
+				return fmt.Errorf("mcc %v: line %d along %v has an empty interval", f, first+i, a)
+			}
+			if i > 0 && (lo[i] < lo[i-1] || hi[i] < hi[i-1]) {
+				return fmt.Errorf("mcc %v: profile along %v not monotone at line %d", f, a, first+i)
+			}
+			cells += hi[i] - lo[i] + 1
 		}
-		cells += f.ColHi[i] - f.ColLo[i] + 1
-	}
-	if cells != f.Cells {
-		return fmt.Errorf("mcc %v: %d cells in column profile, %d extracted (non-contiguous interval)", f, cells, f.Cells)
-	}
-	cells = 0
-	for i := range f.RowLo {
-		if f.RowLo[i] > f.RowHi[i] {
-			return fmt.Errorf("mcc %v: row %d empty interval", f, f.Y0+i)
+		if cells != f.Cells {
+			return fmt.Errorf("mcc %v: %d cells in profile along %v, %d extracted (non-contiguous interval)", f, cells, a, f.Cells)
 		}
-		if i > 0 && (f.RowLo[i] < f.RowLo[i-1] || f.RowHi[i] < f.RowHi[i-1]) {
-			return fmt.Errorf("mcc %v: row profile not monotone at %d", f, f.Y0+i)
-		}
-		cells += f.RowHi[i] - f.RowLo[i] + 1
-	}
-	if cells != f.Cells {
-		return fmt.Errorf("mcc %v: %d cells in row profile, %d extracted", f, cells, f.Cells)
 	}
 	return nil
 }
@@ -140,14 +125,12 @@ type Set struct {
 	all  []*MCC
 	// byCell maps node index -> MCC ID + 1 (0 = safe).
 	byCell []int32
-	// colIndex[x] lists the MCCs occupying column x, ordered by ascending
-	// ColLo at that column; rowIndex likewise by row.
-	colIndex [][]*MCC
-	rowIndex [][]*MCC
-	// succY/succX lazily cache per-component successor lists (Equation 4)
-	// for each chain axis; see sequence.go.
-	succY [][]*MCC
-	succX [][]*MCC
+	// lines[a][p] lists the MCCs occupying line p along a, ordered by
+	// ascending low depth at that line.
+	lines [2][][]*MCC
+	// succ[a][id] lists component id's structurally valid successors
+	// along a (Equation 4), in preference order; see sequence.go.
+	succ [2][][]*MCC
 }
 
 // Extract identifies every MCC of the labeled grid and builds the query
@@ -156,13 +139,8 @@ type Set struct {
 // deterministically.
 func Extract(g *labeling.Grid) *Set {
 	m := g.Mesh()
-	s := &Set{
-		grid:     g,
-		byCell:   make([]int32, m.Nodes()),
-		colIndex: make([][]*MCC, m.Width()),
-		rowIndex: make([][]*MCC, m.Height()),
-	}
-	var stack []mesh.Coord
+	s := &Set{grid: g, byCell: make([]int32, m.Nodes())}
+	var stack, cells []mesh.Coord
 	var nbuf [4]mesh.Coord
 	m.EachNode(func(seed mesh.Coord) {
 		si := m.Index(seed)
@@ -170,27 +148,16 @@ func Extract(g *labeling.Grid) *Set {
 			return
 		}
 		id := len(s.all)
-		f := &MCC{ID: id, X0: seed.X, X1: seed.X, Y0: seed.Y, Y1: seed.Y}
+		x0, x1, y0, y1 := seed.X, seed.X, seed.Y, seed.Y
 		// Flood-fill the 4-connected unsafe component.
 		stack = append(stack[:0], seed)
+		cells = cells[:0]
 		s.byCell[si] = int32(id) + 1
-		var cells []mesh.Coord
 		for len(stack) > 0 {
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			cells = append(cells, c)
-			if c.X < f.X0 {
-				f.X0 = c.X
-			}
-			if c.X > f.X1 {
-				f.X1 = c.X
-			}
-			if c.Y < f.Y0 {
-				f.Y0 = c.Y
-			}
-			if c.Y > f.Y1 {
-				f.Y1 = c.Y
-			}
+			x0, x1, y0, y1 = min(x0, c.X), max(x1, c.X), min(y0, c.Y), max(y1, c.Y)
 			for _, n := range m.Neighbors(c, nbuf[:0]) {
 				ni := m.Index(n)
 				if g.Unsafe(n) && s.byCell[ni] == 0 {
@@ -199,87 +166,74 @@ func Extract(g *labeling.Grid) *Set {
 				}
 			}
 		}
-		f.Cells = len(cells)
-		// Build column and row profiles.
-		w := f.X1 - f.X0 + 1
-		h := f.Y1 - f.Y0 + 1
-		f.ColLo = make([]int, w)
-		f.ColHi = make([]int, w)
-		f.RowLo = make([]int, h)
-		f.RowHi = make([]int, h)
-		for i := range f.ColLo {
-			f.ColLo[i] = f.Y1 + 1 // sentinel: above everything
-			f.ColHi[i] = f.Y0 - 1
-		}
-		for i := range f.RowLo {
-			f.RowLo[i] = f.X1 + 1
-			f.RowHi[i] = f.X0 - 1
-		}
-		for _, c := range cells {
-			ci, ri := c.X-f.X0, c.Y-f.Y0
-			if c.Y < f.ColLo[ci] {
-				f.ColLo[ci] = c.Y
-			}
-			if c.Y > f.ColHi[ci] {
-				f.ColHi[ci] = c.Y
-			}
-			if c.X < f.RowLo[ri] {
-				f.RowLo[ri] = c.X
-			}
-			if c.X > f.RowHi[ri] {
-				f.RowHi[ri] = c.X
-			}
-		}
-		s.all = append(s.all, f)
+		s.all = append(s.all, buildMCC(id, cells, x0, x1, y0, y1))
 	})
-	// Column/row membership indices, ordered by interval position.
-	for _, f := range s.all {
-		for x := f.X0; x <= f.X1; x++ {
-			s.colIndex[x] = insertByColLo(s.colIndex[x], f, x)
-		}
-		for y := f.Y0; y <= f.Y1; y++ {
-			s.rowIndex[y] = insertByRowLo(s.rowIndex[y], f, y)
-		}
-	}
-	// Prefill the per-axis successor caches (sequence.go): after Extract
-	// returns, the Set is read-only, so concurrent FindSequence callers
-	// sharing one analysis snapshot never write it. The lazy fill the
-	// caches started with raced once routing went concurrent.
-	for _, f := range s.all {
-		s.successors(f, axisY)
-		s.successors(f, axisX)
-	}
+	s.index()
 	return s
 }
 
-func insertByColLo(list []*MCC, f *MCC, x int) []*MCC {
-	lo := f.ColLo[x-f.X0]
-	pos := len(list)
-	for i, o := range list {
-		if o.ColLo[x-o.X0] > lo {
-			pos = i
-			break
-		}
-	}
-	list = append(list, nil)
-	copy(list[pos+1:], list[pos:])
-	list[pos] = f
-	return list
+// buildMCC materializes one flooded component from its cells and
+// bounding box.
+func buildMCC(id int, cells []mesh.Coord, x0, x1, y0, y1 int) *MCC {
+	f := &MCC{ID: id, X0: x0, X1: x1, Y0: y0, Y1: y1, Cells: len(cells)}
+	f.ColLo, f.ColHi = profile(AxisY, cells, x0, x1, y0, y1)
+	f.RowLo, f.RowHi = profile(AxisX, cells, y0, y1, x0, x1)
+	return f
 }
 
-func insertByRowLo(list []*MCC, f *MCC, y int) []*MCC {
-	lo := f.RowLo[y-f.Y0]
+// profile computes the lowest and highest depth of cells on each line
+// p0..p1 along a; depths lie within q0..q1.
+func profile(a Axis, cells []mesh.Coord, p0, p1, q0, q1 int) (lo, hi []int) {
+	lo, hi = make([]int, p1-p0+1), make([]int, p1-p0+1)
+	for i := range lo {
+		lo[i], hi[i] = q1+1, q0-1 // sentinels: above and below everything
+	}
+	for _, c := range cells {
+		p, q := a.Split(c)
+		lo[p-p0], hi[p-p0] = min(lo[p-p0], q), max(hi[p-p0], q)
+	}
+	return lo, hi
+}
+
+// index builds the line indices and the successor lists. Both order by
+// profile values and IDs across the whole set, so Extract and UpdateSet
+// rebuild them whole. Filling the successor lists here leaves the Set
+// read-only once built, so concurrent FindSequence callers sharing one
+// analysis snapshot never write it.
+func (s *Set) index() {
+	m := s.grid.Mesh()
+	ext := make([]extent, len(s.all))
+	var buf []*MCC
+	for _, a := range Axes {
+		s.lines[a] = make([][]*MCC, a.Lines(m))
+		for i, f := range s.all {
+			first, lo, hi := f.Profile(a)
+			ext[i] = extent{first: first, last: first + len(lo) - 1, top: hi[len(hi)-1], lo: lo[0]}
+			for p := first; p < first+len(lo); p++ {
+				s.lines[a][p] = insertByLo(s.lines[a][p], f, a, p)
+			}
+		}
+		s.succ[a] = make([][]*MCC, len(s.all))
+		for _, f := range s.all {
+			buf = s.appendSuccessors(buf[:0], ext, f.ID)
+			s.succ[a][f.ID] = append([]*MCC(nil), buf...) // exact size; nil when empty
+		}
+	}
+}
+
+// insertByLo inserts f into list, the components on line p along a, after
+// every component whose low depth there is not above f's.
+func insertByLo(list []*MCC, f *MCC, a Axis, p int) []*MCC {
+	first, lo, _ := f.Profile(a)
 	pos := len(list)
 	for i, o := range list {
-		if o.RowLo[y-o.Y0] > lo {
+		ofirst, olo, _ := o.Profile(a)
+		if olo[p-ofirst] > lo[p-first] {
 			pos = i
 			break
 		}
 	}
-	list = append(list, nil)
-	copy(list[pos+1:], list[pos:])
-	list[pos] = f
-	return list
+	return slices.Insert(list, pos, f)
 }
 
 // Grid returns the labeled grid the set was extracted from.
@@ -304,22 +258,13 @@ func (s *Set) At(c mesh.Coord) *MCC {
 	return s.all[id-1]
 }
 
-// InColumn returns the components occupying column x, ordered by ascending
-// bottom row at that column.
-func (s *Set) InColumn(x int) []*MCC {
-	if x < 0 || x >= len(s.colIndex) {
+// Along returns the components occupying line p along a, ordered by
+// ascending low depth at that line.
+func (s *Set) Along(a Axis, p int) []*MCC {
+	if p < 0 || p >= len(s.lines[a]) {
 		return nil
 	}
-	return s.colIndex[x]
-}
-
-// InRow returns the components occupying row y, ordered by ascending left
-// column at that row.
-func (s *Set) InRow(y int) []*MCC {
-	if y < 0 || y >= len(s.rowIndex) {
-		return nil
-	}
-	return s.rowIndex[y]
+	return s.lines[a][p]
 }
 
 // Validate checks every component; see MCC.Validate.

@@ -166,23 +166,19 @@ func TestColumnRowIndexOrdering(t *testing.T) {
 	m := mesh.Square(20)
 	g := labeling.Compute(fault.Uniform{}.Generate(m, 60, r), labeling.BorderSafe)
 	s := Extract(g)
-	for x := 0; x < 20; x++ {
-		list := s.InColumn(x)
-		for i := 1; i < len(list); i++ {
-			if list[i-1].ColLo[x-list[i-1].X0] > list[i].ColLo[x-list[i].X0] {
-				t.Fatalf("column %d index out of order", x)
+	for _, a := range Axes {
+		for p := 0; p < 20; p++ {
+			list := s.Along(a, p)
+			for i := 1; i < len(list); i++ {
+				f0, lo0, _ := list[i-1].Profile(a)
+				f1, lo1, _ := list[i].Profile(a)
+				if lo0[p-f0] > lo1[p-f1] {
+					t.Fatalf("line %d along %v: index out of order", p, a)
+				}
 			}
 		}
 	}
-	for y := 0; y < 20; y++ {
-		list := s.InRow(y)
-		for i := 1; i < len(list); i++ {
-			if list[i-1].RowLo[y-list[i-1].Y0] > list[i].RowLo[y-list[i].Y0] {
-				t.Fatalf("row %d index out of order", y)
-			}
-		}
-	}
-	if s.InColumn(-1) != nil || s.InRow(99) != nil {
+	if s.Along(AxisY, -1) != nil || s.Along(AxisX, 99) != nil {
 		t.Error("out-of-range index queries must return nil")
 	}
 }
@@ -331,15 +327,8 @@ func TestSequenceCorners(t *testing.T) {
 	// u=(5,4), d=(6,7).
 	s := extract(t, mesh.Square(12), mesh.C(5, 5), mesh.C(6, 6))
 	seq := s.FindSequence(mesh.C(5, 4), mesh.C(6, 7))
-	if seq == nil || len(seq.Chain) != 2 || seq.TypeII {
+	if seq == nil || len(seq.Chain) != 2 || seq.Axis != AxisY {
 		t.Fatalf("sequence = %+v", seq)
-	}
-	first, middles, last := seq.Corners()
-	if first != mesh.C(4, 4) || last != mesh.C(7, 7) {
-		t.Errorf("ends %v %v", first, last)
-	}
-	if len(middles) != 1 || middles[0][0] != mesh.C(6, 6) || middles[0][1] != mesh.C(5, 5) {
-		t.Errorf("middles %v", middles)
 	}
 }
 
@@ -349,7 +338,7 @@ func TestTypeIISequence(t *testing.T) {
 	// cells (5,5),(5,6) as one column component; u west, d east.
 	s := extract(t, mesh.Square(12), mesh.C(5, 5), mesh.C(5, 6))
 	seq := s.FindSequence(mesh.C(4, 5), mesh.C(6, 6))
-	if seq == nil || !seq.TypeII {
+	if seq == nil || seq.Axis != AxisX {
 		t.Fatalf("want type-II sequence, got %+v", seq)
 	}
 }

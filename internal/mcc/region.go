@@ -3,63 +3,54 @@ package mcc
 import "repro/internal/mesh"
 
 // This file implements the forbidden and critical regions of an MCC and the
-// per-component blocking predicate of the paper's information model:
+// per-component blocking predicate of the paper's information model. In
+// line/depth coordinates along an axis a (see Axis):
 //
-//   - R_Y(c), the +Y forbidden region: nodes in the component's column span
-//     strictly below its bottom staircase. A Manhattan (+X/+Y) routing that
-//     starts there and must end above the component cannot avoid it.
-//   - R'_Y(c), the +Y critical region: nodes in the column span strictly
-//     above the top staircase.
-//   - R_X(c) / R'_X(c): the transposed pair for +X blocking (type-II),
-//     defined on the row span ("obtained by simply rotating the mesh").
+//   - R_a(f), the forbidden region: nodes on one of f's lines strictly
+//     below its low staircase (lower depth). A Manhattan (+X/+Y) routing
+//     that starts there and must end beyond the component cannot avoid it.
+//   - R'_a(f), the critical region: nodes on one of f's lines strictly
+//     beyond its high staircase.
+//
+// Along AxisY these are the paper's +Y pair R_Y / R'_Y (column span,
+// below the bottom staircase and above the top one); along AxisX they are
+// the type-II pair R_X / R'_X, defined on the row span ("obtained by
+// simply rotating the mesh").
 //
 // The central fact (from [5], proved here as an exact geometric statement
 // and property-tested against a monotone DP): a Manhattan path from u to d
-// crossing no cell of component F fails to exist iff
+// crossing no cell of component F fails to exist iff, along some axis a,
 //
-//	(u ∈ R_Y(F) ∧ d ∈ R'_Y(F)) ∨ (u ∈ R_X(F) ∧ d ∈ R'_X(F)).
+//	u ∈ R_a(F) ∧ d ∈ R'_a(F).
 //
-// Note the regions deliberately exclude the corner columns x_c and x_{c'}:
-// a node on the corner column can always slide along it past the component,
-// so including those columns (as a literal reading of the paper's
+// Note the regions deliberately exclude the corner lines (x_c and x_{c'}
+// along AxisY): a node on a corner line can always slide along it past the
+// component, so including those lines (as a literal reading of the paper's
 // "boundary-to-boundary" region might) would over-block. The boundary LINES
-// of package info still run on those columns; they carry information, they
+// of package info still run on those lines; they carry information, they
 // are not themselves forbidden.
 
-// InForbiddenY reports u ∈ R_Y(f): u lies in f's column span strictly below
-// the bottom staircase.
-func (f *MCC) InForbiddenY(u mesh.Coord) bool {
-	if u.X < f.X0 || u.X > f.X1 {
-		return false
+// InForbidden reports u ∈ R_a(f): u lies on one of f's lines along a,
+// strictly below the low staircase. Routing walks call it per stored
+// triple on every hop, so it selects the profile fields with one branch
+// and ends in a single comparison chain, which the compiler turns into
+// direct jumps at the call site.
+func (f *MCC) InForbidden(a Axis, u mesh.Coord) bool {
+	i, q, lo := u.X-f.X0, u.Y, f.ColLo
+	if a != AxisY {
+		i, q, lo = u.Y-f.Y0, u.X, f.RowLo
 	}
-	return u.Y < f.ColLo[u.X-f.X0]
+	return uint(i) < uint(len(lo)) && q < lo[i]
 }
 
-// InCriticalY reports d ∈ R'_Y(f): d lies in f's column span strictly above
-// the top staircase.
-func (f *MCC) InCriticalY(d mesh.Coord) bool {
-	if d.X < f.X0 || d.X > f.X1 {
-		return false
+// InCritical reports d ∈ R'_a(f): d lies on one of f's lines along a,
+// strictly beyond the high staircase.
+func (f *MCC) InCritical(a Axis, d mesh.Coord) bool {
+	i, q, hi := d.X-f.X0, d.Y, f.ColHi
+	if a != AxisY {
+		i, q, hi = d.Y-f.Y0, d.X, f.RowHi
 	}
-	return d.Y > f.ColHi[d.X-f.X0]
-}
-
-// InForbiddenX reports u ∈ R_X(f): u lies in f's row span strictly west of
-// the left staircase.
-func (f *MCC) InForbiddenX(u mesh.Coord) bool {
-	if u.Y < f.Y0 || u.Y > f.Y1 {
-		return false
-	}
-	return u.X < f.RowLo[u.Y-f.Y0]
-}
-
-// InCriticalX reports d ∈ R'_X(f): d lies in f's row span strictly east of
-// the right staircase.
-func (f *MCC) InCriticalX(d mesh.Coord) bool {
-	if d.Y < f.Y0 || d.Y > f.Y1 {
-		return false
-	}
-	return d.X > f.RowHi[d.Y-f.Y0]
+	return uint(i) < uint(len(hi)) && q > hi[i]
 }
 
 // BlocksManhattan reports whether every monotone (+X/+Y) path from u to d
@@ -67,8 +58,12 @@ func (f *MCC) InCriticalX(d mesh.Coord) bool {
 // a cell of f. This is the region-pair predicate; PassBelow/PassAbove give
 // the direct geometric characterization and tests pin their equivalence.
 func (f *MCC) BlocksManhattan(u, d mesh.Coord) bool {
-	return (f.InForbiddenY(u) && f.InCriticalY(d)) ||
-		(f.InForbiddenX(u) && f.InCriticalX(d))
+	for _, a := range Axes {
+		if f.InForbidden(a, u) && f.InCritical(a, d) {
+			return true
+		}
+	}
+	return false
 }
 
 // PassBelow reports whether a monotone path from u to d can pass entirely

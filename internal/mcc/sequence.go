@@ -1,6 +1,7 @@
 package mcc
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/mesh"
@@ -8,13 +9,16 @@ import (
 
 // This file implements blocking sequences (the paper's Equation 1), the
 // succeeding-MCC relation (Equation 4), and their identification from a
-// node's viewpoint (Equation 5).
+// node's viewpoint (Equation 5), once, in line/depth coordinates along an
+// Axis.
 //
-// A type-I sequence F1, ..., Fn blocks the +Y direction: u sits in the
-// forbidden region R_Y(F1), d in the critical region R'_Y(Fn), consecutive
-// components overlap in columns with ascending tops, and the union of the
-// sequence's cells cuts every monotone path from u to d. A type-II sequence
-// blocks +X and is the exact transpose.
+// A sequence F1, ..., Fn along axis a blocks travel toward increasing
+// depth: u sits in the forbidden region R_a(F1), d in the critical region
+// R'_a(Fn), consecutive components overlap in lines with ascending tops
+// (highest depth), and the union of the sequence's cells cuts every
+// monotone path from u to d. Along AxisY this is the paper's type-I
+// sequence, blocking +Y over column spans; along AxisX it is the type-II
+// sequence, blocking +X over row spans.
 //
 // # Construction vs. certification
 //
@@ -25,7 +29,7 @@ import (
 // minimal-corner successor choice can dead-end while a different successor
 // completes a valid chain. We therefore treat Equations 1/4 as a *search
 // order* — a depth-first walk over the successor relation preferring
-// minimal corners, with one extra pruning rule (a free position strictly
+// minimal corners, with one extra pruning rule (a free line strictly
 // between consecutive spans always opens the corridor, because a monotone
 // path below the first component can rise without bound there) — and
 // *certify* every completed chain with an exact monotone dynamic program
@@ -33,65 +37,13 @@ import (
 // chains are blocking sequences by construction; the property tests pin
 // FindSequence != nil exactly to "no Manhattan path over safe nodes".
 
-// axis selects which travel direction a blocking sequence obstructs.
-type axis uint8
-
-const (
-	// axisY: type-I sequences blocking the +Y direction; the chain runs
-	// west to east over column spans.
-	axisY axis = iota
-	// axisX: type-II sequences blocking the +X direction; the chain runs
-	// south to north over row spans. All geometry transposes.
-	axisX
-)
-
-// span returns the component's extent along the chain axis.
-func (f *MCC) span(a axis) (s0, s1 int) {
-	if a == axisY {
-		return f.X0, f.X1
-	}
-	return f.Y0, f.Y1
-}
-
-// loAt returns the perpendicular bottom profile at chain-axis position p.
-func (f *MCC) loAt(a axis, p int) int {
-	if a == axisY {
-		return f.ColLo[p-f.X0]
-	}
-	return f.RowLo[p-f.Y0]
-}
-
-// topMax returns the highest perpendicular coordinate of the component
-// (y_{c'}-1 for type-I); tops strictly ascend along a valid chain.
-func (f *MCC) topMax(a axis) int {
-	if a == axisY {
-		return f.Y1
-	}
-	return f.X1
-}
-
-// inForbidden / inCritical dispatch the region tests along an axis.
-func (f *MCC) inForbidden(a axis, u mesh.Coord) bool {
-	if a == axisY {
-		return f.InForbiddenY(u)
-	}
-	return f.InForbiddenX(u)
-}
-
-func (f *MCC) inCritical(a axis, d mesh.Coord) bool {
-	if a == axisY {
-		return f.InCriticalY(d)
-	}
-	return f.InCriticalX(d)
-}
-
 // Sequence is one blocking sequence with its axis.
 type Sequence struct {
 	// Chain holds F1..Fn in order.
 	Chain []*MCC
-	// TypeII is false for type-I (+Y blocked) and true for type-II
-	// (+X blocked).
-	TypeII bool
+	// Axis is AxisY for a type-I sequence (+Y blocked) and AxisX for a
+	// type-II one (+X blocked).
+	Axis Axis
 }
 
 // Blocks reports whether the union of the sequence's cells cuts every
@@ -115,15 +67,11 @@ func chainBlocks(u, d mesh.Coord, chain []*MCC, buf *[]bool) bool {
 	}, buf)
 }
 
-// MonotoneReach reports whether a path using only +X/+Y moves connects u to
-// d without entering cells where obstacle returns true. It is the exact
-// oracle behind blocking decisions; cost is O(area of the u-d rectangle).
-func MonotoneReach(u, d mesh.Coord, obstacle func(mesh.Coord) bool) bool {
-	return monotoneReachBuf(u, d, obstacle, nil)
-}
-
-// monotoneReachBuf is MonotoneReach over an optional reusable DP buffer
-// (grown as needed; every cell is written, so no clearing between uses).
+// monotoneReachBuf reports whether a path using only +X/+Y moves connects
+// u to d without entering cells where obstacle returns true: the exact
+// oracle behind blocking decisions, at O(area of the u-d rectangle). The
+// DP buffer is optional and grown as needed; every cell is written, so no
+// clearing between uses.
 func monotoneReachBuf(u, d mesh.Coord, obstacle func(mesh.Coord) bool, buf *[]bool) bool {
 	if u.X > d.X || u.Y > d.Y || obstacle(u) || obstacle(d) {
 		return false
@@ -160,98 +108,61 @@ func monotoneReachBuf(u, d mesh.Coord, obstacle func(mesh.Coord) bool, buf *[]bo
 }
 
 // candidatesAbove appends to dst the components whose forbidden region
-// (along ax) contains u, in ascending order of first-hit distance — the
-// order the paper's "+Y detection ray" would encounter them.
-func (s *Set) candidatesAbove(u mesh.Coord, ax axis, dst []*MCC) []*MCC {
-	var list []*MCC
-	if ax == axisY {
-		list = s.InColumn(u.X)
-	} else {
-		list = s.InRow(u.Y)
-	}
-	// The index is ordered by ascending lo at that column/row; components
-	// whose interval starts above u are exactly those with u in their
+// along a contains u, in ascending order of first-hit distance — the order
+// the paper's "+Y detection ray" would encounter them.
+func (s *Set) candidatesAbove(u mesh.Coord, a Axis, dst []*MCC) []*MCC {
+	// The index is ordered by ascending low depth at u's line; components
+	// whose interval starts beyond u are exactly those with u in their
 	// forbidden region.
-	for _, f := range list {
-		if f.inForbidden(ax, u) {
+	p, _ := a.Split(u)
+	for _, f := range s.Along(a, p) {
+		if f.InForbidden(a, u) {
 			dst = append(dst, f)
 		}
 	}
 	return dst
 }
 
-// successors returns every structurally valid succeeding component of f:
-// Equation 1's overlap and ascending-top conditions, plus the no-free-gap
-// rule (a free position between the spans always opens the corridor).
-// Lists are ordered by Equation 4's preference — ascending corner
-// coordinate (y_w for type-I) — and cached per axis on the Set: they depend
-// only on the fault configuration, not on the routing pair.
-func (s *Set) successors(f *MCC, ax axis) []*MCC {
-	cache := &s.succY
-	if ax == axisX {
-		cache = &s.succX
-	}
-	if *cache == nil {
-		*cache = make([][]*MCC, len(s.all))
-	}
-	if (*cache)[f.ID] != nil {
-		return (*cache)[f.ID]
-	}
-	fS0, fS1 := f.span(ax)
-	list := make([]*MCC, 0, 4)
-	for _, g := range s.all {
-		if g == f {
-			continue
-		}
-		gS0, _ := g.span(ax)
+// extent is what the successor relation reads of one component along an
+// axis: its first and last line, its top (highest depth) and the low
+// depth of its first line. index flattens them into one slice per axis,
+// so the all-pairs scan below stays in cache.
+type extent struct{ first, last, top, lo int }
+
+// appendSuccessors appends to dst every structurally valid succeeding
+// component of component id, given every component's extent along one
+// axis: Equation 1's overlap and ascending-top conditions, plus the
+// no-free-gap rule (a free line between the spans always opens the
+// corridor). The list is ordered by Equation 4's preference — ascending
+// corner depth (y_w for type-I), ties by ID. It depends only on the fault
+// configuration, not on the routing pair, so index stores it on the Set.
+func (s *Set) appendSuccessors(dst []*MCC, ext []extent, id int) []*MCC {
+	f := ext[id]
+	n := len(dst)
+	for j, g := range ext {
 		// Equation 1: x_{c_i} <= x_{c_{i+1}} <= x_{c'_i}; the no-free-gap
-		// rule tightens the upper bound from fS1+2 to fS1+1.
-		if gS0 < fS0 || gS0 > fS1+1 {
+		// rule tightens the upper bound from the last line + 2 to + 1.
+		if j == id || g.first < f.first || g.first > f.last+1 || g.top <= f.top {
 			continue
 		}
-		if g.topMax(ax) <= f.topMax(ax) {
-			continue
-		}
-		list = append(list, g)
+		dst = append(dst, s.all[j])
 	}
-	// Equation 4 ordering: minimal corner coordinate first.
-	key := func(g *MCC) int {
-		gS0, _ := g.span(ax)
-		return g.loAt(ax, gS0)
-	}
-	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && (key(list[j]) < key(list[j-1]) ||
-			(key(list[j]) == key(list[j-1]) && list[j].ID < list[j-1].ID)); j-- {
-			list[j], list[j-1] = list[j-1], list[j]
-		}
-	}
-	if len(list) == 0 {
-		list = []*MCC{} // non-nil: marks the cache entry as computed
-	}
-	(*cache)[f.ID] = list
-	return list
+	// Equation 4 ordering: minimal corner depth first; the stable sort
+	// keeps s.all's ID order among ties.
+	slices.SortStableFunc(dst[n:], func(g, h *MCC) int { return ext[g.ID].lo - ext[h.ID].lo })
+	return dst
 }
 
-// IsSuccessorY reports whether succ is a structurally valid type-I
-// succeeding component of pred (Equation 1 overlap, ascending top,
+// IsSuccessor reports whether succ is a structurally valid succeeding
+// component of pred along a (Equation 1 overlap, ascending top,
 // no-free-gap). Package info uses it to decide which boundary-walk
 // intersections record succeeding-MCC relations: the paper's literal
 // condition (x_c > x_{v'}) is unsatisfiable for interlocked pairs — the
 // chain conditions force x_c < x_{v'} — so we read Algorithm 6 step 4 as
 // "the intersected component is a chain predecessor candidate" and test
 // exactly that.
-func (s *Set) IsSuccessorY(pred, succ *MCC) bool { return s.isSuccessor(pred, succ, axisY) }
-
-// IsSuccessorX is the type-II transpose of IsSuccessorY.
-func (s *Set) IsSuccessorX(pred, succ *MCC) bool { return s.isSuccessor(pred, succ, axisX) }
-
-func (s *Set) isSuccessor(pred, succ *MCC, ax axis) bool {
-	for _, g := range s.successors(pred, ax) {
-		if g == succ {
-			return true
-		}
-	}
-	return false
+func (s *Set) IsSuccessor(a Axis, pred, succ *MCC) bool {
+	return slices.Contains(s.succ[a][pred.ID], succ)
 }
 
 // FindSequence identifies the closest blocking sequence for a routing from
@@ -262,10 +173,12 @@ func (s *Set) isSuccessor(pred, succ *MCC, ax axis) bool {
 // Both axes are tried; the paper shows safe endpoints can be blocked by at
 // most one type.
 func (s *Set) FindSequence(u, d mesh.Coord) *Sequence {
-	if seq := s.findAxis(u, d, axisY); seq != nil {
-		return seq
+	for _, a := range Axes {
+		if seq := s.findAxis(u, d, a); seq != nil {
+			return seq
+		}
 	}
-	return s.findAxis(u, d, axisX)
+	return nil
 }
 
 // seqCandidateBudget bounds how many structurally complete chains one query
@@ -316,10 +229,10 @@ func (s *Set) seqScratchFor() *seqScratch {
 // (components from which no completion is reachable) are memoized; DP
 // rejections are not memoizable (they depend on the whole chain) and
 // consume the candidate budget instead.
-func (s *Set) findAxis(u, d mesh.Coord, ax axis) *Sequence {
+func (s *Set) findAxis(u, d mesh.Coord, a Axis) *Sequence {
 	sc := s.seqScratchFor()
 	defer seqScratchPool.Put(sc)
-	sc.seeds = s.candidatesAbove(u, ax, sc.seeds)
+	sc.seeds = s.candidatesAbove(u, a, sc.seeds)
 	if len(sc.seeds) == 0 {
 		return nil
 	}
@@ -337,21 +250,21 @@ func (s *Set) findAxis(u, d mesh.Coord, ax axis) *Sequence {
 			sc.onChain[f.ID] = false
 		}()
 		completed := false
-		if f.inCritical(ax, d) {
+		if f.InCritical(a, d) {
 			completed = true
 			budget--
 			if chainBlocks(u, d, sc.chain, &sc.reach) {
 				// Materialize the Sequence only for the one certified chain;
 				// rejected candidates never leave the scratch.
-				result = &Sequence{Chain: append([]*MCC(nil), sc.chain...), TypeII: ax == axisX}
+				result = &Sequence{Chain: append([]*MCC(nil), sc.chain...), Axis: a}
 				return true
 			}
 		}
 		// Extend while d is not underneath the chain: if d sits in f's
 		// forbidden region, any monotone path ends below f and no longer
 		// chain through f can block d from above.
-		if !f.inForbidden(ax, d) {
-			for _, g := range s.successors(f, ax) {
+		if !f.InForbidden(a, d) {
+			for _, g := range s.succ[a][f.ID] {
 				if dfs(g) {
 					return true
 				}
@@ -371,17 +284,4 @@ func (s *Set) findAxis(u, d mesh.Coord, ax axis) *Sequence {
 		}
 	}
 	return nil
-}
-
-// Corners returns the detour pivot corners of the sequence in the order the
-// distance recursion of Equation 3 uses them: c_1, (c'_1, c_2), ...,
-// (c'_{n-1}, c_n), c'_n.
-func (q *Sequence) Corners() (first mesh.Coord, middles [][2]mesh.Coord, last mesh.Coord) {
-	n := len(q.Chain)
-	first = q.Chain[0].Corner()
-	last = q.Chain[n-1].Opposite()
-	for i := 0; i+1 < n; i++ {
-		middles = append(middles, [2]mesh.Coord{q.Chain[i].Opposite(), q.Chain[i+1].Corner()})
-	}
-	return first, middles, last
 }

@@ -38,15 +38,9 @@ func UpdateSet(prev *Set, g *labeling.Grid, flipped []mesh.Coord) (*Set, map[*MC
 		// Labels may have changed kind (useless <-> can't-reach) without
 		// moving the safe/unsafe partition: every geometric structure is
 		// identical, only the grid pointer advances.
-		return &Set{
-			grid:     g,
-			all:      prev.all,
-			byCell:   prev.byCell,
-			colIndex: prev.colIndex,
-			rowIndex: prev.rowIndex,
-			succY:    prev.succY,
-			succX:    prev.succX,
-		}, carried
+		s := *prev
+		s.grid = g
+		return &s, carried
 	}
 
 	// Components invalidated by the delta: every component that lost a
@@ -157,12 +151,7 @@ func UpdateSet(prev *Set, g *labeling.Grid, flipped []mesh.Coord) (*Set, map[*MC
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
 
-	s := &Set{
-		grid:     g,
-		byCell:   append([]int32(nil), prev.byCell...),
-		colIndex: make([][]*MCC, m.Width()),
-		rowIndex: make([][]*MCC, m.Height()),
-	}
+	s := &Set{grid: g, byCell: append([]int32(nil), prev.byCell...)}
 	var restamp []*MCC // components whose byCell entries must be (re)written
 	carried := make(map[*MCC]*MCC, len(order))
 	for i, e := range order {
@@ -203,55 +192,6 @@ func UpdateSet(prev *Set, g *labeling.Grid, flipped []mesh.Coord) (*Set, map[*MC
 		}
 	}
 
-	// The spatial indices and successor caches order by profile values and
-	// IDs across the whole set, so rebuild them exactly as Extract does.
-	for _, f := range s.all {
-		for x := f.X0; x <= f.X1; x++ {
-			s.colIndex[x] = insertByColLo(s.colIndex[x], f, x)
-		}
-		for y := f.Y0; y <= f.Y1; y++ {
-			s.rowIndex[y] = insertByRowLo(s.rowIndex[y], f, y)
-		}
-	}
-	for _, f := range s.all {
-		s.successors(f, axisY)
-		s.successors(f, axisX)
-	}
+	s.index()
 	return s, carried
-}
-
-// buildMCC materializes one flooded component: Extract's profile
-// construction over an explicit cell list.
-func buildMCC(id int, cells []mesh.Coord, x0, x1, y0, y1 int) *MCC {
-	f := &MCC{ID: id, X0: x0, X1: x1, Y0: y0, Y1: y1, Cells: len(cells)}
-	w := x1 - x0 + 1
-	h := y1 - y0 + 1
-	f.ColLo = make([]int, w)
-	f.ColHi = make([]int, w)
-	f.RowLo = make([]int, h)
-	f.RowHi = make([]int, h)
-	for i := range f.ColLo {
-		f.ColLo[i] = y1 + 1
-		f.ColHi[i] = y0 - 1
-	}
-	for i := range f.RowLo {
-		f.RowLo[i] = x1 + 1
-		f.RowHi[i] = x0 - 1
-	}
-	for _, c := range cells {
-		ci, ri := c.X-x0, c.Y-y0
-		if c.Y < f.ColLo[ci] {
-			f.ColLo[ci] = c.Y
-		}
-		if c.Y > f.ColHi[ci] {
-			f.ColHi[ci] = c.Y
-		}
-		if c.X < f.RowLo[ri] {
-			f.RowLo[ri] = c.X
-		}
-		if c.X > f.RowHi[ri] {
-			f.RowHi[ri] = c.X
-		}
-	}
-	return f
 }

@@ -60,22 +60,16 @@ func setsEqual(t *testing.T, got, want *Set) {
 		}
 		return true
 	}
-	for x := range want.colIndex {
-		if !idListEq(got.colIndex[x], want.colIndex[x]) {
-			t.Fatalf("colIndex[%d] = %v, want %v", x, idsOf(got.colIndex[x]), idsOf(want.colIndex[x]))
+	for _, a := range Axes {
+		for p := range want.lines[a] {
+			if !idListEq(got.lines[a][p], want.lines[a][p]) {
+				t.Fatalf("lines[%v][%d] = %v, want %v", a, p, idsOf(got.lines[a][p]), idsOf(want.lines[a][p]))
+			}
 		}
-	}
-	for y := range want.rowIndex {
-		if !idListEq(got.rowIndex[y], want.rowIndex[y]) {
-			t.Fatalf("rowIndex[%d] = %v, want %v", y, idsOf(got.rowIndex[y]), idsOf(want.rowIndex[y]))
-		}
-	}
-	for i := range want.all {
-		if !idListEq(got.succY[i], want.succY[i]) {
-			t.Fatalf("succY[%d] = %v, want %v", i, idsOf(got.succY[i]), idsOf(want.succY[i]))
-		}
-		if !idListEq(got.succX[i], want.succX[i]) {
-			t.Fatalf("succX[%d] = %v, want %v", i, idsOf(got.succX[i]), idsOf(want.succX[i]))
+		for i := range want.all {
+			if !idListEq(got.succ[a][i], want.succ[a][i]) {
+				t.Fatalf("succ[%v][%d] = %v, want %v", a, i, idsOf(got.succ[a][i]), idsOf(want.succ[a][i]))
+			}
 		}
 	}
 }

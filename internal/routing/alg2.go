@@ -63,14 +63,8 @@ func (e env) excluded(cu, target, ct mesh.Coord) bool {
 		return false
 	}
 	for _, tr := range e.store.TriplesAt(cu) {
-		if tr.Kind.GuardsY() {
-			if tr.F.InForbiddenY(target) && tr.F.InCriticalY(ct) {
-				return true
-			}
-		} else {
-			if tr.F.InForbiddenX(target) && tr.F.InCriticalX(ct) {
-				return true
-			}
+		if a := tr.Kind.Axis(); tr.F.InForbidden(a, target) && tr.F.InCritical(a, ct) {
+			return true
 		}
 	}
 	return false

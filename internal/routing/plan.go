@@ -209,13 +209,7 @@ func findSequenceB3(e env, cu, cd mesh.Coord) *mcc.Sequence {
 	// forbidden region contains cu (Equation 5's F(alpha) test).
 	var bestSeq *mcc.Sequence
 	for _, tr := range e.store.TriplesAt(cu) {
-		f := tr.F
-		var seq *mcc.Sequence
-		if tr.Kind.GuardsY() {
-			seq = chainFromRelations(e, f, cu, cd, false)
-		} else {
-			seq = chainFromRelations(e, f, cu, cd, true)
-		}
+		seq := chainFromRelations(e, tr.F, tr.Kind.Axis(), cu, cd)
 		if seq != nil && (bestSeq == nil || len(seq.Chain) < len(bestSeq.Chain)) {
 			bestSeq = seq
 		}
@@ -223,33 +217,15 @@ func findSequenceB3(e env, cu, cd mesh.Coord) *mcc.Sequence {
 	return bestSeq
 }
 
-// chainFromRelations follows recorded succeeding-MCC relations from a seed
-// component until one covers the destination's column (row) from below
-// (west), per Equations 4/5. Unlike RB2's geometric search it cannot
+// chainFromRelations follows recorded succeeding-MCC relations along axis
+// a from a seed component until one covers the destination's line from
+// below, per Equations 4/5. Unlike RB2's geometric search it cannot
 // certify the chain with a DP — the node only has the records — so false
 // positives cause detours that the evaluation measures.
 //
 //meshlint:hotpath
-func chainFromRelations(e env, seed *mcc.MCC, cu, cd mesh.Coord, typeII bool) *mcc.Sequence {
-	inForbidden := func(f *mcc.MCC, c mesh.Coord) bool {
-		if typeII {
-			return f.InForbiddenX(c)
-		}
-		return f.InForbiddenY(c)
-	}
-	inCritical := func(f *mcc.MCC, c mesh.Coord) bool {
-		if typeII {
-			return f.InCriticalX(c)
-		}
-		return f.InCriticalY(c)
-	}
-	succ := func(f *mcc.MCC) []*mcc.MCC {
-		if typeII {
-			return e.store.SuccessorsX(f)
-		}
-		return e.store.SuccessorsY(f)
-	}
-	if !inForbidden(seed, cu) {
+func chainFromRelations(e env, seed *mcc.MCC, a mcc.Axis, cu, cd mesh.Coord) *mcc.Sequence {
+	if !seed.InForbidden(a, cu) {
 		return nil
 	}
 	// The working chain lives in a small stack buffer: most calls fail
@@ -271,24 +247,20 @@ func chainFromRelations(e env, seed *mcc.MCC, cu, cd mesh.Coord, typeII bool) *m
 	}
 	cur := seed
 	for range e.set.All() {
-		if inCritical(cur, cd) {
-			return &mcc.Sequence{Chain: append([]*mcc.MCC(nil), chain...), TypeII: typeII} //meshlint:allow the identified sequence escapes into the plan; one copy per successful identification
+		if cur.InCritical(a, cd) {
+			return &mcc.Sequence{Chain: append([]*mcc.MCC(nil), chain...), Axis: a} //meshlint:allow the identified sequence escapes into the plan; one copy per successful identification
 		}
-		if inForbidden(cur, cd) {
+		if cur.InForbidden(a, cd) {
 			return nil // destination is underneath the chain
 		}
 		// Equation 4: the successor with the minimal corner coordinate.
 		var next *mcc.MCC
 		bestKey := 0
-		for _, g := range succ(cur) {
+		for _, g := range e.store.Successors(a, cur) {
 			if onChain(g.ID) {
 				continue
 			}
-			key := g.Corner().Y
-			if typeII {
-				key = g.Corner().X
-			}
-			if next == nil || key < bestKey {
+			if _, key := a.Split(g.Corner()); next == nil || key < bestKey {
 				next, bestKey = g, key
 			}
 		}
