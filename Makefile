@@ -249,11 +249,12 @@ chaos-smoke:
 
 # Cluster replication smoke (CI gate): boot a journaled leader plus two
 # read-only followers tailing it, churn fault transactions through the
-# cluster-aware load generator (mutations follow NOT_LEADER redirects to
-# the leader), wait until both followers serve the leader's fault list
-# byte-identically, then kill -9 the leader and require the followers to
-# keep serving reads at the replicated snapshot while refusing commits
-# with NOT_LEADER carrying the (dead) leader's address.
+# cluster-aware load generator (a follower is listed first, so every run
+# takes the NOT_LEADER redirect to the leader), wait until both followers
+# serve the leader's fault list byte-identically, then kill -9 the leader
+# and require the followers to keep serving reads at the replicated
+# snapshot while refusing commits with NOT_LEADER carrying the (dead)
+# leader's address.
 cluster-smoke:
 	@set -e; tmp=$$(mktemp -d); status=1; \
 	$(GO) build -o $$tmp/meshd ./cmd/meshd; \
@@ -268,7 +269,7 @@ cluster-smoke:
 		for i in $$(seq 1 100); do [ -s $$tmp/addr_f1 ] && [ -s $$tmp/addr_f2 ] && break; sleep 0.1; done; \
 		if [ -s $$tmp/addr_f1 ] && [ -s $$tmp/addr_f2 ]; then \
 			f1=$$(cat $$tmp/addr_f1); f2=$$(cat $$tmp/addr_f2); \
-			if $$tmp/meshload -cluster $$leader,$$f1,$$f2 -keep -mesh cm -n 16 -faults 20 \
+			if $$tmp/meshload -cluster $$f1,$$leader,$$f2 -keep -mesh cm -n 16 -faults 20 \
 				-requests 300 -workers 4 -churn 50ms; then \
 				status=0; \
 				for i in $$(seq 1 50); do \
@@ -381,12 +382,16 @@ metrics-smoke:
 	kill -TERM $$lpid $$fpid 2>/dev/null || true; wait 2>/dev/null || true; \
 	rm -rf $$tmp; exit $$status
 
-# Native Go fuzz smoke over the journal's frame decoder: corrupt and
-# truncated WAL records must error, never panic — the property crash
-# recovery stands on. FUZZTIME bounds the run (CI uses a short burst).
+# Native Go fuzz smoke over the two trust boundaries: the journal's
+# frame decoder (corrupt and truncated WAL records must error, never
+# panic — the property crash recovery stands on) and the wire request
+# decoders (arbitrary route, batch and faults bodies must get 200 or a
+# documented non-INTERNAL code). FUZZTIME bounds each run (CI uses a
+# short burst).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/journal
+	$(GO) test -run '^$$' -fuzz '^FuzzWireRequests$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Crash-recovery smoke (CI gate): boot meshd with a -data-dir, commit
 # fault transactions over two meshes via curl, SIGKILL the daemon, boot a

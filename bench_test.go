@@ -324,7 +324,7 @@ func BenchmarkRouteBatchRB2(b *testing.B) {
 // BenchmarkRouteBatchOracleRB2 measures oracle-enabled batch serving on
 // repeated-source traffic: the batch fans out on the snapshot and every
 // result is scored against the snapshot's distance-oracle cache, the way
-// the facade's RouteBatch mappers do. Eight sources share 64 pairs, so
+// the facade's RouteBatch does. Eight sources share 64 pairs, so
 // the cache turns 64 per-pair BFS runs into 8 field builds.
 func BenchmarkRouteBatchOracleRB2(b *testing.B) {
 	benchEngine(b)

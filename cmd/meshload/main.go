@@ -34,13 +34,13 @@
 //
 // -cluster drives a replicated meshd cluster instead of a single node:
 // route reads are sprayed uniformly across every listed node (leader and
-// read-only followers alike), while mutations start at the consistent-
-// hash placement target for the mesh name and transparently follow
-// NOT_LEADER redirects — the refusal body carries the leader address —
-// so placement misses cost one extra round-trip instead of aborting the
-// run. Before firing traffic, the run waits until every node serves the
-// mesh at (or past) the seeded snapshot version, so follower reads
-// never race the initial replication.
+// read-only followers alike), while mutations start at the first listed
+// node and transparently follow NOT_LEADER redirects — the refusal body
+// carries the leader address — so listing a follower first costs one
+// extra round-trip instead of aborting the run. Before firing traffic,
+// the run waits until every node serves the mesh at (or past) the seeded
+// snapshot version, so follower reads never race the initial
+// replication.
 //
 // Usage:
 //
@@ -68,7 +68,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/journal"
 	"repro/internal/telemetry"
 )
@@ -199,7 +198,7 @@ func retryHint(eb errorBody, resp *http.Response) time.Duration {
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "meshd address (host:port or http URL)")
-	clusterSpec := flag.String("cluster", "", "comma-separated meshd cluster nodes (or @file): reads spray every node, mutations go to the placement target and follow NOT_LEADER redirects (overrides -addr)")
+	clusterSpec := flag.String("cluster", "", "comma-separated meshd cluster nodes: reads spray every node, mutations start at the first and follow NOT_LEADER redirects (overrides -addr)")
 	meshName := flag.String("mesh", "load", "mesh name to create and drive")
 	n := flag.Int("n", 32, "mesh side length")
 	faults := flag.Int("faults", 60, "initial random faults")
@@ -238,24 +237,22 @@ func main() {
 	}
 
 	// Resolve the targets: single-node runs read and write -addr; cluster
-	// runs spray reads across every node and start mutations at the
-	// consistent-hash placement target (NOT_LEADER redirects correct any
-	// placement miss at the first mutation).
+	// runs spray reads across every node and start mutations at the first
+	// (a NOT_LEADER redirect finds the leader at the first mutation).
 	readBases := []string{normalizeBase(*addr)}
-	mt := &mutTarget{base: readBases[0]}
 	if *clusterSpec != "" {
-		pl, err := cluster.ParsePlacement(*clusterSpec)
-		if err != nil {
-			fail("-cluster: %v", err)
+		readBases = nil
+		for _, node := range strings.Split(*clusterSpec, ",") {
+			if node = strings.TrimSpace(node); node != "" {
+				readBases = append(readBases, normalizeBase(node))
+			}
 		}
-		nodes := pl.Nodes()
-		readBases = make([]string, len(nodes))
-		for i, n := range nodes {
-			readBases[i] = normalizeBase(n)
+		if len(readBases) == 0 {
+			fail("-cluster %q lists no nodes", *clusterSpec)
 		}
-		mt.set(normalizeBase(pl.Node(*meshName)))
-		fmt.Printf("meshload: cluster of %d nodes; placement target for %q: %s\n", len(nodes), *meshName, mt.get())
+		fmt.Printf("meshload: cluster of %d nodes; mutations start at %s\n", len(readBases), readBases[0])
 	}
+	mt := &mutTarget{base: readBases[0]}
 
 	// With -journal, the recording dictates geometry, the initial fault
 	// set, and the churn transactions.
@@ -735,7 +732,7 @@ func normalizeBase(addr string) string {
 }
 
 // mutTarget is the shared, mutable mutation target: it starts at the
-// -addr node (or the -cluster placement target) and is rewritten by
+// -addr node (or the first -cluster node) and is rewritten by
 // every NOT_LEADER redirect, so all mutation paths — seeding, churn,
 // replay, cleanup — converge on the discovered leader after one miss.
 type mutTarget struct {

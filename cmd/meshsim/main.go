@@ -45,7 +45,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "base seed")
 	genName := flag.String("gen", "uniform", "fault generator: uniform, clustered, blocks")
 	policyName := flag.String("policy", "diagonal", "adaptive policy: diagonal, xfirst, yfirst")
-	workers := flag.Int("workers", 0, "routing worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "routing worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
 	flag.Parse()

@@ -34,8 +34,6 @@ func TestFacadeConcurrentRouteAndMutate(t *testing.T) {
 				return
 			}
 			net.RepairFault(C(15, 0))
-			net.SetPolicy(PolicyXFirst)
-			net.SetPolicy(PolicyDiagonal)
 		}
 	}()
 	for g := 0; g < 4; g++ {
@@ -146,8 +144,9 @@ func TestFacadeApplyIsAtomic(t *testing.T) {
 	}
 }
 
-// TestFacadeRouteBatchHonorsPolicy pins the SetPolicy/RouteBatch contract:
-// the batch path must route with the same adaptive policy as Route.
+// TestFacadeRouteBatchHonorsPolicy pins the WithPolicy/RouteBatch
+// contract: the batch path must route with the same adaptive policy as
+// Route.
 func TestFacadeRouteBatchHonorsPolicy(t *testing.T) {
 	ctx := context.Background()
 	for _, policy := range []struct {
@@ -158,9 +157,8 @@ func TestFacadeRouteBatchHonorsPolicy(t *testing.T) {
 		if err := net.InjectRandom(30, 5); err != nil {
 			t.Fatal(err)
 		}
-		net.SetPolicy(policy.p)
 		pairs := []Pair{{S: C(0, 0), D: C(15, 15)}, {S: C(2, 1), D: C(14, 12)}}
-		batch, err := net.RouteBatch(ctx, BatchRequest{Pairs: pairs}, WithWorkers(2))
+		batch, err := net.RouteBatch(ctx, BatchRequest{Pairs: pairs}, WithPolicy(policy.p), WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +170,7 @@ func TestFacadeRouteBatchHonorsPolicy(t *testing.T) {
 			if item.Err != nil {
 				continue
 			}
-			single, err := net.Route(ctx, RouteRequest{Src: pairs[i].S, Dst: pairs[i].D})
+			single, err := net.Route(ctx, RouteRequest{Src: pairs[i].S, Dst: pairs[i].D}, WithPolicy(policy.p))
 			if err != nil {
 				t.Fatalf("%s: single route failed where batch delivered: %v", policy.name, err)
 			}

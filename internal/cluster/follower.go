@@ -1,3 +1,7 @@
+// Package cluster implements static-membership replication for meshd:
+// a Follower that tails a leader's /v1/meshes/{name}/watch NDJSON
+// streams and installs every fault delta into a local read-only replica
+// at exactly the leader's snapshot versions.
 package cluster
 
 import (

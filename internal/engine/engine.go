@@ -15,8 +15,8 @@
 //     immutable; readers never lock.
 //   - Router holds the current Snapshot behind an atomic.Pointer. A caller
 //     loads it once with Router.Snapshot and serves every query of one
-//     request from it (Snapshot.Route, RouteCtx, BatchStream), so a
-//     concurrent swap never tears a query.
+//     request from it (Snapshot.Route, RouteCtx, BatchStream, MapBatch),
+//     so a concurrent swap never tears a query.
 //   - Swap constructs the next snapshot entirely off-line (the expensive
 //     labeling fixpoint, MCC extraction, and information propagation all
 //     happen before publication) and then publishes it with a single
@@ -366,8 +366,7 @@ type Result struct {
 // one configuration pin the snapshot once and run them all on it. It
 // fails only when an endpoint is faulty or outside the mesh; an
 // undelivered walk comes back with Delivered=false and Abort set. A
-// non-nil opt.Rng or opt.Scratch makes the call unsafe to share across
-// goroutines.
+// non-nil opt.Scratch makes the call unsafe to share across goroutines.
 func (s *Snapshot) Route(algo routing.Algo, src, dst mesh.Coord, opt routing.Options) (Result, error) {
 	return routeOn(s, algo, src, dst, opt)
 }
@@ -453,31 +452,43 @@ type BatchItem struct {
 	Err   error
 }
 
-// BatchStream fans pairs out across a worker pool (workers <= 0 means
-// GOMAXPROCS) pinned to this snapshot and sends each outcome as soon as it
-// is computed — completion order, not input order. The channel is closed
-// once every pair is served or ctx is canceled; million-pair sweeps are
-// consumed with O(workers) buffering instead of an O(pairs) result slice.
+// BatchStream streams the raw outcome of every pair: MapBatch with the
+// identity mapping.
+func (s *Snapshot) BatchStream(ctx context.Context, algo routing.Algo, pairs []Pair, workers int, opt routing.Options) <-chan BatchItem {
+	return MapBatch(ctx, s, algo, pairs, workers, opt, func(item BatchItem) BatchItem { return item })
+}
+
+// MapBatch fans pairs out across a worker pool pinned to snapshot s and
+// sends f of each outcome as soon as it is computed — completion order,
+// not input order. f runs on the worker that walked the pair, so per-item
+// work beyond the walk (the facade's oracle scoring) spreads across the
+// same pool instead of serializing behind the consumer. The channel is
+// closed once every pair is served or ctx is canceled; million-pair
+// sweeps are consumed with O(workers) buffering instead of an O(pairs)
+// result slice.
+//
+// workers <= 0 means GOMAXPROCS, and larger values are capped at
+// GOMAXPROCS: walks are CPU-bound, so more workers than processors add
+// only the scratch each one pins (at least 25 bytes per mesh node),
+// never throughput.
 //
 // Cancellation is prompt: workers poll ctx between pairs and within each
 // walk (via the hop-budget hook), stop claiming work, and bail even when
-// the consumer has stopped receiving. opt.Rng must be nil (it would race
-// across workers).
-func (s *Snapshot) BatchStream(ctx context.Context, algo routing.Algo, pairs []Pair, workers int, opt routing.Options) <-chan BatchItem {
-	if opt.Rng != nil {
-		panic("engine: batch options must not carry an Rng (it would race across workers)")
-	}
+// the consumer has stopped receiving.
+func MapBatch[T any](ctx context.Context, s *Snapshot, algo routing.Algo, pairs []Pair, workers int, opt routing.Options, f func(BatchItem) T) <-chan T {
 	if opt.Scratch != nil {
 		panic("engine: batch options must not carry a Scratch (it would race across workers; the batch pins one per worker itself)")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
 	}
 	if workers > len(pairs) {
 		workers = len(pairs)
 	}
 	opt = withStop(ctx, opt)
-	ch := make(chan BatchItem, workers*2+1)
+	// Two slots per worker let each worker finish its next pair while the
+	// consumer is still taking the previous one.
+	ch := make(chan T, workers*2+1)
 	if len(pairs) == 0 {
 		close(ch)
 		return ch
@@ -507,7 +518,7 @@ func (s *Snapshot) BatchStream(ctx context.Context, algo routing.Algo, pairs []P
 					err = canceled(ctx) // walk cut short by the context
 				}
 				select {
-				case ch <- BatchItem{Index: i, Pair: p, Res: res, Err: err}:
+				case ch <- f(BatchItem{Index: i, Pair: p, Res: res, Err: err}):
 				case <-ctx.Done():
 					return
 				}

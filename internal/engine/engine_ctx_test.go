@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,5 +108,50 @@ func TestBatchStreamCancelIsPrompt(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("stream did not close within 5s of cancellation (%d served)", served)
 		}
+	}
+}
+
+// TestBatchWorkersCappedAtGOMAXPROCS parks every walk in its first
+// Options.Stop poll and counts the walks in flight: a batch asking for
+// 4096 workers must run at most GOMAXPROCS walks at once. Walks are
+// CPU-bound, so extra workers add only the scratch each one pins.
+func TestBatchWorkersCappedAtGOMAXPROCS(t *testing.T) {
+	f := testFaults(t, 8, 0, 0)
+	snap := New(f, Options{}).Snapshot()
+	pairs := make([]Pair, 4096)
+	for i := range pairs {
+		pairs[i] = Pair{S: mesh.C(0, 0), D: mesh.C(7, 7)}
+	}
+	var parked atomic.Int64
+	release := make(chan struct{})
+	opt := routing.Options{Stop: func() error {
+		select {
+		case <-release:
+		default:
+			parked.Add(1)
+			<-release
+		}
+		return nil
+	}}
+	ch := snap.BatchStream(context.Background(), routing.RB2, pairs, len(pairs), opt)
+
+	procs := int64(runtime.GOMAXPROCS(0))
+	for deadline := time.Now().Add(5 * time.Second); parked.Load() < procs && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	// Workers beyond the cap would already be running: give them time to
+	// reach their first poll before counting.
+	time.Sleep(50 * time.Millisecond)
+	inFlight := parked.Load()
+	close(release)
+	served := 0
+	for range ch {
+		served++
+	}
+	if inFlight != procs {
+		t.Errorf("%d walks in flight with 4096 workers requested, want GOMAXPROCS = %d", inFlight, procs)
+	}
+	if served != len(pairs) {
+		t.Errorf("stream served %d of %d pairs", served, len(pairs))
 	}
 }

@@ -76,38 +76,6 @@ func TestTablesDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestTablesDeterministicWithOracleCache locks the distance-oracle cache
-// in: the per-trial spath.Oracle only changes how D(s,d) is computed, so
-// the routed panels must render byte-identically with and without it —
-// at any worker count.
-func TestTablesDeterministicWithOracleCache(t *testing.T) {
-	for _, panel := range []struct {
-		name string
-		run  func(context.Context, Config) (*stats.Table, error)
-	}{
-		{"Fig5d", Fig5d}, {"Fig5e", Fig5e}, {"DeliveryRates", DeliveryRates},
-	} {
-		ctx := context.Background()
-		cached := detCfg(4)
-		uncached := detCfg(2)
-		uncached.NoOracleCache = true
-		a, err1 := panel.run(ctx, cached)
-		b, err2 := panel.run(ctx, uncached)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: sweep errors: %v / %v", panel.name, err1, err2)
-		}
-		withCache := a.Render()
-		withoutCache := b.Render()
-		if withCache != withoutCache {
-			t.Errorf("%s differs with/without the oracle cache:\n--- cached\n%s--- uncached\n%s",
-				panel.name, withCache, withoutCache)
-		}
-		if len(withCache) == 0 {
-			t.Errorf("%s rendered empty", panel.name)
-		}
-	}
-}
-
 // TestCSVDeterministicAcrossWorkerCounts covers the CSV renderer too — the
 // byte-identity contract is on the emitted artifacts, not one format.
 func TestCSVDeterministicAcrossWorkerCounts(t *testing.T) {

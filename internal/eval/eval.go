@@ -55,12 +55,6 @@ type Config struct {
 	// (sweep point, trial) draws from its own seed-derived RNG and the
 	// emitted samples are merged back in serial order.
 	Workers int
-	// NoOracleCache disables the per-trial spath.Oracle distance-field
-	// cache and recomputes a BFS per sampled pair, the pre-cache
-	// behavior. Distances are deterministic either way, so tables are
-	// byte-identical with and without the cache (locked by tests); the
-	// switch exists for that comparison and for memory-constrained runs.
-	NoOracleCache bool
 }
 
 // Default reproduces the paper's scale: 100x100 mesh, faults 0..3000 in
@@ -239,22 +233,14 @@ func Fig5c(ctx context.Context, cfg Config) (*stats.Table, error) {
 
 // pairSampler draws random pairs matching the paper's setup: both
 // endpoints safe (in the travel orientation), destination reachable.
-// With an oracle set, ground-truth distances come from its per-source BFS
-// cache — rejected draws and the final measurement share fields whenever
-// endpoints repeat within a trial — and fall back to a per-pair BFS
-// otherwise (Config.NoOracleCache). Distances are identical either way.
+// Ground-truth distances come from the trial's per-source BFS cache, so
+// rejected draws and the final measurement share fields whenever
+// endpoints repeat within a trial.
 type pairSampler struct {
 	m      mesh.Mesh
 	a      *routing.Analysis
 	r      *rand.Rand
 	oracle *spath.Oracle
-}
-
-func (p pairSampler) dist(s, d mesh.Coord) int32 {
-	if p.oracle != nil {
-		return p.oracle.Dist(s, d)
-	}
-	return spath.Distance(p.a.Faults(), s, d)
 }
 
 func (p pairSampler) draw() (s, d mesh.Coord, optimal int32, ok bool) {
@@ -269,7 +255,7 @@ func (p pairSampler) draw() (s, d mesh.Coord, optimal int32, ok bool) {
 		if !g.Safe(o.To(p.m, s)) || !g.Safe(o.To(p.m, d)) {
 			continue
 		}
-		optimal = p.dist(s, d)
+		optimal = p.oracle.Dist(s, d)
 		if optimal >= spath.Infinite {
 			continue
 		}
@@ -312,10 +298,7 @@ func routedFigures(ctx context.Context, cfg Config, algos []routing.Algo) (succe
 			opt.Scratch = routing.NewScratch(m)
 		}
 		defer scratches.Put(opt.Scratch)
-		sampler := pairSampler{m: m, a: a, r: r}
-		if !cfg.NoOracleCache {
-			sampler.oracle = spath.NewOracle(f, 0)
-		}
+		sampler := pairSampler{m: m, a: a, r: r, oracle: spath.NewOracle(f, 0)}
 		for i := 0; i < cfg.Pairs; i++ {
 			if ctx.Err() != nil {
 				return // canceled mid-trial: stop between pairs

@@ -79,29 +79,6 @@ func (m Mesh) Neighbors(c Coord, dst []Coord) []Coord {
 	return dst
 }
 
-// Degree returns the number of in-mesh neighbors of c (2, 3, or 4).
-func (m Mesh) Degree(c Coord) int {
-	n := 4
-	if c.X == 0 {
-		n--
-	}
-	if c.X == m.w-1 {
-		n--
-	}
-	if c.Y == 0 {
-		n--
-	}
-	if c.Y == m.h-1 {
-		n--
-	}
-	return n
-}
-
-// OnBorder reports whether c lies on the outermost ring of the mesh.
-func (m Mesh) OnBorder(c Coord) bool {
-	return c.X == 0 || c.Y == 0 || c.X == m.w-1 || c.Y == m.h-1
-}
-
 // Bounds returns the rectangle covering the whole mesh.
 func (m Mesh) Bounds() Rect {
 	return Rect{X0: 0, Y0: 0, X1: m.w - 1, Y1: m.h - 1}

@@ -78,9 +78,6 @@ func TestNeighborAndDegree(t *testing.T) {
 		{C(1, 1), 4},
 	}
 	for _, cs := range cases {
-		if got := m.Degree(cs.c); got != cs.degree {
-			t.Errorf("Degree(%v) = %d, want %d", cs.c, got, cs.degree)
-		}
 		got := len(m.Neighbors(cs.c, nil))
 		if got != cs.degree {
 			t.Errorf("len(Neighbors(%v)) = %d, want %d", cs.c, got, cs.degree)
@@ -103,23 +100,6 @@ func TestNeighborsReusesDst(t *testing.T) {
 	}
 	if cap(got) != cap(buf) {
 		t.Error("Neighbors reallocated despite sufficient capacity")
-	}
-}
-
-func TestOnBorder(t *testing.T) {
-	m := New(4, 3)
-	border := 0
-	m.EachNode(func(c Coord) {
-		if m.OnBorder(c) {
-			border++
-		}
-	})
-	// Perimeter of 4x3: 2*4 + 2*3 - 4 = 10.
-	if border != 10 {
-		t.Errorf("border nodes = %d, want 10", border)
-	}
-	if m.OnBorder(C(1, 1)) {
-		t.Error("(1,1) is interior")
 	}
 }
 

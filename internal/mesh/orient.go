@@ -105,8 +105,3 @@ func (o Orient) DirTo(d Direction) Direction {
 	}
 	return d
 }
-
-// RectTo maps a rectangle into the canonical frame of orientation o.
-func (o Orient) RectTo(m Mesh, r Rect) Rect {
-	return RectOf(o.To(m, Coord{r.X0, r.Y0}), o.To(m, Coord{r.X1, r.Y1}))
-}

@@ -91,26 +91,6 @@ func TestOrientDirInvolution(t *testing.T) {
 	}
 }
 
-func TestOrientRectTo(t *testing.T) {
-	m := New(10, 10)
-	r := Rect{X0: 1, Y0: 2, X1: 3, Y1: 4}
-	got := SW.RectTo(m, r)
-	// Mirror both axes in a 10x10 mesh: x -> 9-x, y -> 9-y.
-	want := Rect{X0: 6, Y0: 5, X1: 8, Y1: 7}
-	if got != want {
-		t.Errorf("SW.RectTo = %v, want %v", got, want)
-	}
-	if NE.RectTo(m, r) != r {
-		t.Error("NE.RectTo must be identity")
-	}
-	// Area is preserved under every orientation.
-	for _, o := range Orients {
-		if o.RectTo(m, r).Area() != r.Area() {
-			t.Errorf("orient %v changed rect area", o)
-		}
-	}
-}
-
 func TestOrientStrings(t *testing.T) {
 	want := map[Orient]string{NE: "NE", NW: "NW", SE: "SE", SW: "SW"}
 	for o, s := range want {

@@ -61,23 +61,6 @@ func (r Rect) Intersect(o Rect) Rect {
 	}
 }
 
-// Union returns the smallest rectangle covering both r and o.
-// Invalid inputs are treated as empty and ignored.
-func (r Rect) Union(o Rect) Rect {
-	switch {
-	case !r.Valid():
-		return o
-	case !o.Valid():
-		return r
-	}
-	return Rect{
-		X0: min(r.X0, o.X0),
-		Y0: min(r.Y0, o.Y0),
-		X1: max(r.X1, o.X1),
-		Y1: max(r.Y1, o.Y1),
-	}
-}
-
 // Grow expands the rectangle by k nodes on every side.
 func (r Rect) Grow(k int) Rect {
 	return Rect{X0: r.X0 - k, Y0: r.Y0 - k, X1: r.X1 + k, Y1: r.Y1 + k}

@@ -38,7 +38,7 @@ func TestRectLineSegments(t *testing.T) {
 	}
 }
 
-func TestRectIntersectUnion(t *testing.T) {
+func TestRectIntersect(t *testing.T) {
 	a := Rect{X0: 0, Y0: 0, X1: 4, Y1: 4}
 	b := Rect{X0: 3, Y0: 2, X1: 7, Y1: 9}
 	got := a.Intersect(b)
@@ -46,28 +46,12 @@ func TestRectIntersectUnion(t *testing.T) {
 	if got != want {
 		t.Errorf("Intersect = %v, want %v", got, want)
 	}
-	u := a.Union(b)
-	wantU := Rect{X0: 0, Y0: 0, X1: 7, Y1: 9}
-	if u != wantU {
-		t.Errorf("Union = %v, want %v", u, wantU)
-	}
 	disjoint := Rect{X0: 9, Y0: 9, X1: 10, Y1: 10}
 	if a.Intersect(disjoint).Valid() {
 		t.Error("intersection of disjoint rects must be invalid")
 	}
 	if a.Intersect(disjoint).Area() != 0 {
 		t.Error("invalid rect must have area 0")
-	}
-}
-
-func TestRectUnionWithInvalid(t *testing.T) {
-	a := Rect{X0: 1, Y0: 1, X1: 2, Y1: 2}
-	invalid := Rect{X0: 5, Y0: 5, X1: 4, Y1: 4}
-	if got := a.Union(invalid); got != a {
-		t.Errorf("Union with invalid = %v, want %v", got, a)
-	}
-	if got := invalid.Union(a); got != a {
-		t.Errorf("invalid.Union = %v, want %v", got, a)
 	}
 }
 
@@ -100,13 +84,6 @@ func TestRectPropertyIntersectionContainment(t *testing.T) {
 		ok := true
 		i.Each(func(c Coord) {
 			if !a.Contains(c) || !b.Contains(c) {
-				ok = false
-			}
-		})
-		// Every point of a is inside the union.
-		u := a.Union(b)
-		a.Each(func(c Coord) {
-			if !u.Contains(c) {
 				ok = false
 			}
 		})

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"math/rand"
-
-	"repro/internal/mesh"
-)
+import "repro/internal/mesh"
 
 // Policy selects among the admissible forwarding directions of Algorithm 2
 // step 3 ("apply any fully adaptive routing process"). The paper leaves the
@@ -27,9 +23,6 @@ const (
 	PolicyXFirst
 	// PolicyYFirst always prefers +Y when admissible.
 	PolicyYFirst
-	// PolicyRandom picks uniformly among admissible directions using the
-	// rng supplied in Options.
-	PolicyRandom
 )
 
 // String names the policy.
@@ -41,15 +34,13 @@ func (p Policy) String() string {
 		return "x-first"
 	case PolicyYFirst:
 		return "y-first"
-	case PolicyRandom:
-		return "random"
 	}
 	return "policy?"
 }
 
 // choose picks one direction from the admissible set (never empty) for a
 // leg at canonical position cu toward canonical target ct.
-func (p Policy) choose(cands []mesh.Direction, cu, ct mesh.Coord, rng *rand.Rand) mesh.Direction {
+func (p Policy) choose(cands []mesh.Direction, cu, ct mesh.Coord) mesh.Direction {
 	if len(cands) == 1 {
 		return cands[0]
 	}
@@ -58,11 +49,6 @@ func (p Policy) choose(cands []mesh.Direction, cu, ct mesh.Coord, rng *rand.Rand
 		return cands[0] // candidate order is +X, +Y
 	case PolicyYFirst:
 		return cands[len(cands)-1]
-	case PolicyRandom:
-		if rng != nil {
-			return cands[rng.Intn(len(cands))]
-		}
-		return cands[0]
 	default: // PolicyDiagonal
 		if ct.Y-cu.Y > ct.X-cu.X {
 			return cands[len(cands)-1] // +Y

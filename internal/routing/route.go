@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/info"
 	"repro/internal/mesh"
@@ -55,8 +54,6 @@ func (a Algo) Model() info.Model {
 type Options struct {
 	// Policy is the adaptive selector of Algorithm 2 step 3.
 	Policy Policy
-	// Rng drives PolicyRandom; unused otherwise.
-	Rng *rand.Rand
 	// MaxHops bounds the walk; 0 means 8 * nodes.
 	MaxHops int
 	// Stop, when non-nil, is polled before the first hop and then about
@@ -139,7 +136,7 @@ func Route(a *Analysis, algo Algo, s, d mesh.Coord, opt Options) Result {
 	case Ecube:
 		res = a.routeEcube(s, d, opt)
 	case RB1:
-		res = a.routeRB1(s, d, opt)
+		res = a.routePlanned(s, d, opt, info.B1, nil)
 	case RB2:
 		res = a.routePlanned(s, d, opt, info.B2, findSequenceFull)
 	case RB3:
@@ -410,43 +407,16 @@ func dimOrderDir(u, d mesh.Coord) mesh.Direction {
 	}
 }
 
-// routeRB1 is Algorithm 3: Algorithm 2 decisions on B1 information, with a
-// wall-following detour around the blocking region whenever the candidate
-// set empties.
-//
-//meshlint:hotpath
-func (a *Analysis) routeRB1(s, d mesh.Coord, opt Options) Result {
-	w := a.newWalk(s, d, opt)
-	for !w.done(opt.maxHops(a.m)) {
-		if w.u == d {
-			return w.finish()
-		}
-		e := a.envFor(w.u, d, info.B1, true)
-		cu, cd := e.orient.To(a.m, w.u), e.orient.To(a.m, d)
-		cands := e.candidates(cu, cd, w.candBuf[:0])
-		var normal mesh.Coord
-		if len(cands) > 0 {
-			dir := e.orient.DirTo(opt.Policy.choose(cands, cu, cd, opt.Rng))
-			normal = w.u.Step(dir)
-		}
-		// Algorithm 3 detours "around the MCC": the wall is the unsafe
-		// region of the current travel orientation, not just the faults —
-		// otherwise the walker orbits inside useless pockets that the
-		// candidate rule refuses to re-enter.
-		if !w.downgraded {
-			w.useUnsafeWall(e)
-		}
-		if !w.stepOrDetour(len(cands) > 0, normal, w.progressDir(cu, cd, e)) {
-			return w.res
-		}
-	}
-	return w.exhausted()
-}
-
-// routePlanned is the multi-phase driver shared by RB2 (Algorithm 5) and
-// RB3 (Algorithm 7): identify the closest blocking sequence, evaluate
-// Equations 2/3 for the detour pivots, route Manhattan legs to each pivot,
-// and repeat from there.
+// routePlanned is the Algorithm 2 driver shared by RB1 (Algorithm 3), RB2
+// (Algorithm 5) and RB3 (Algorithm 7). Every hop takes Algorithm 2's
+// candidate set on the model's information and detours around the MCC
+// when it is empty: the detour wall is the unsafe region of the current
+// travel orientation, not just the faults — otherwise the walker orbits
+// inside useless pockets that the candidate rule refuses to re-enter.
+// With a non-nil find (RB2, RB3) the walk is multi-phase: identify the
+// closest blocking sequence, evaluate Equations 2/3 for the detour
+// pivots, route Manhattan legs to each pivot, and repeat from there. RB1
+// passes a nil find and never plans.
 //
 //meshlint:hotpath
 func (a *Analysis) routePlanned(s, d mesh.Coord, opt Options, model info.Model, find seqFinder) Result {
@@ -476,7 +446,7 @@ func (a *Analysis) routePlanned(s, d mesh.Coord, opt Options, model info.Model, 
 		// Plan detours only on the final-destination leg; pivot legs are
 		// already part of a plan. The replan guard limits in-place loops
 		// (it resets on every actual movement).
-		if target == d && replans < 4 {
+		if find != nil && target == d && replans < 4 {
 			if seq := find(e, cu, ct); seq != nil {
 				pl := newPlanner(a, model, e, find, ct, opt.Scratch)
 				if plan := pl.plan(cu, seq); plan.ok {
@@ -503,7 +473,7 @@ func (a *Analysis) routePlanned(s, d mesh.Coord, opt Options, model info.Model, 
 		}
 		var normal mesh.Coord
 		if len(cands) > 0 {
-			dir := e.orient.DirTo(opt.Policy.choose(cands, cu, ct, opt.Rng))
+			dir := e.orient.DirTo(opt.Policy.choose(cands, cu, ct))
 			normal = w.u.Step(dir)
 		}
 		if !w.downgraded {

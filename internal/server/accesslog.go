@@ -92,15 +92,6 @@ func noteCode(w http.ResponseWriter, code string) {
 	}
 }
 
-// RequestID returns the X-Request-Id assigned to the request behind w,
-// or "" outside the access-log middleware (direct mux tests).
-func RequestID(w http.ResponseWriter) string {
-	if mw, ok := w.(*metaWriter); ok {
-		return mw.meta.id
-	}
-	return ""
-}
-
 // meshFromPath extracts the {name} segment of /v1/meshes/{name}[/...]
 // without needing the mux's routing result (the middleware wraps the
 // mux, so path values are not populated yet when it runs).

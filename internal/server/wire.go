@@ -205,7 +205,8 @@ func toWireResponse(resp meshroute.RouteResponse) RouteWireResponse {
 // BatchWireRequest is the body of POST /v1/meshes/{name}/route/batch.
 type BatchWireRequest struct {
 	Pairs []WirePair `json:"pairs"`
-	// Workers bounds the routing worker pool (0 = GOMAXPROCS).
+	// Workers bounds the routing worker pool (0 = GOMAXPROCS; larger
+	// values are capped at GOMAXPROCS).
 	Workers   int    `json:"workers,omitempty"`
 	Algorithm string `json:"algorithm,omitempty"`
 	Policy    string `json:"policy,omitempty"`

@@ -30,7 +30,7 @@ type Message struct {
 
 // Handler reacts to a message arriving at a node. Implementations receive
 // an Outbox bound to the destination node and may emit messages to the
-// node's mesh neighbors (or to itself, modeling local continuation).
+// node's mesh neighbors.
 type Handler interface {
 	Deliver(net *Network, msg Message, out *Outbox)
 }
@@ -52,7 +52,6 @@ type Network struct {
 
 	rounds       int
 	messages     int64 // link crossings (From != To)
-	localSends   int64 // self-deliveries (From == To)
 	participated []bool
 	participants int
 }
@@ -112,13 +111,6 @@ func (o *Outbox) SendDir(d mesh.Direction, payload any) bool {
 	return o.Send(o.at.Step(d), payload)
 }
 
-// Defer re-delivers a payload to the same node next round, modeling local
-// continuation of a multi-step protocol step without crossing a link.
-func (o *Outbox) Defer(payload any) {
-	idx := o.net.m.Index(o.at)
-	o.net.pending[idx] = append(o.net.pending[idx], Message{From: o.at, To: o.at, Payload: payload})
-}
-
 // Step runs one synchronous round: every pending message becomes visible,
 // every receiving node handles its inbox in deterministic order. It reports
 // whether any message was processed.
@@ -145,8 +137,6 @@ func (n *Network) Step() bool {
 		for _, msg := range n.inbox[idx] {
 			if msg.From != msg.To {
 				n.messages++
-			} else {
-				n.localSends++
 			}
 			n.handler.Deliver(n, msg, &out)
 		}
@@ -172,32 +162,11 @@ func (n *Network) Run(maxRounds int) (rounds int, quiesced bool) {
 // Rounds returns the total synchronous rounds executed so far.
 func (n *Network) Rounds() int { return n.rounds }
 
-// Messages returns the total link crossings so far (self-deliveries are
-// tracked separately, matching how the paper counts propagation cost).
+// Messages returns the total link crossings so far (Post injections are
+// not counted, matching how the paper counts propagation cost).
 func (n *Network) Messages() int64 { return n.messages }
-
-// LocalSends returns the number of same-node deferred deliveries.
-func (n *Network) LocalSends() int64 { return n.localSends }
 
 // Participants returns how many distinct nodes have processed at least one
 // message — the "number of nodes involved in the information propagation"
 // of Figure 5(c).
 func (n *Network) Participants() int { return n.participants }
-
-// Participated reports whether the node at c processed any message.
-func (n *Network) Participated(c mesh.Coord) bool {
-	return n.participated[n.m.Index(c)]
-}
-
-// ResetMetrics clears counters and the participation set while keeping
-// queued messages; protocols that run in phases use it to attribute cost
-// per phase.
-func (n *Network) ResetMetrics() {
-	n.rounds = 0
-	n.messages = 0
-	n.localSends = 0
-	n.participants = 0
-	for i := range n.participated {
-		n.participated[i] = false
-	}
-}

@@ -29,7 +29,6 @@ const Infinite = int32(1) << 30
 // subgraph of a mesh.
 type BFS struct {
 	m    mesh.Mesh
-	src  mesh.Coord
 	dist []int32
 	// reach is the bounding rectangle of the reached cells — the field's
 	// frontier bound. The snapshot engine uses it to decide cheaply
@@ -45,7 +44,7 @@ type BFS struct {
 // unreachable.
 func NewBFS(f *fault.Set, src mesh.Coord) *BFS {
 	m := f.Mesh()
-	b := &BFS{m: m, src: src, dist: make([]int32, m.Nodes()), empty: true}
+	b := &BFS{m: m, dist: make([]int32, m.Nodes()), empty: true}
 	for i := range b.dist {
 		b.dist[i] = Infinite
 	}
@@ -92,9 +91,6 @@ func NewBFS(f *fault.Set, src mesh.Coord) *BFS {
 func (b *BFS) ReachedBounds() (mesh.Rect, bool) {
 	return b.reach, !b.empty
 }
-
-// Source returns the BFS source.
-func (b *BFS) Source() mesh.Coord { return b.src }
 
 // Dist returns D(src, d) in hops, or Infinite when d is unreachable,
 // faulty, or outside the mesh.

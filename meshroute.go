@@ -111,7 +111,7 @@ const (
 // Policy re-exports the adaptive selection policy of Algorithm 2 step 3.
 type Policy = routing.Policy
 
-// The selection policies SetPolicy accepts.
+// The selection policies WithPolicy accepts.
 const (
 	// PolicyDiagonal balances the remaining offsets (the default).
 	PolicyDiagonal = routing.PolicyDiagonal
@@ -127,9 +127,8 @@ type Network struct {
 	m      mesh.Mesh
 	router *engine.Router
 
-	mu      sync.Mutex                      // serializes Apply transactions
-	opts    atomic.Pointer[routing.Options] // walk defaults (SetPolicy); never nil
-	pending atomic.Int64                    // edits staged by an in-flight Apply
+	mu      sync.Mutex   // serializes Apply transactions
+	pending atomic.Int64 // edits staged by an in-flight Apply
 
 	watchMu sync.Mutex // guards the watcher registry
 	// watchers is the live watcher registry; fanout iterates it inside
@@ -191,7 +190,6 @@ func Restore(w, h int, faults []Coord, version uint64, opts engine.Options) (*Ne
 // could trail behind).
 func newNetwork(m mesh.Mesh, seed func(mesh.Mesh) *fault.Set, opts engine.Options) *Network {
 	n := &Network{m: m}
-	n.opts.Store(&routing.Options{})
 	user := opts.OnPublish
 	opts.OnPublish = func(version uint64, delta engine.Delta) {
 		if user != nil {
@@ -212,22 +210,8 @@ func (n *Network) Width() int { return n.m.Width() }
 // Height returns the Y extent of the mesh.
 func (n *Network) Height() int { return n.m.Height() }
 
-// SetPolicy chooses the default adaptive selection policy used by
-// Algorithm 2 step 3 (default: diagonal balancing). Per-call WithPolicy
-// overrides it.
-func (n *Network) SetPolicy(p Policy) {
-	for {
-		old := n.opts.Load()
-		next := *old
-		next.Policy = p
-		if n.opts.CompareAndSwap(old, &next) {
-			return
-		}
-	}
-}
-
 // RouteRequest asks for one routing from Src to Dst. Algorithm, policy,
-// and oracle behavior come from RouteOptions (default: RB2, the network
+// and oracle behavior come from RouteOptions (default: RB2, the diagonal
 // policy, oracle on).
 type RouteRequest struct {
 	Src, Dst Coord
@@ -279,7 +263,7 @@ type RouteResponse struct {
 // canceled — see the taxonomy in errors.go. The whole call (endpoint
 // checks, walk, oracle) is served from one pinned snapshot.
 func (n *Network) Route(ctx context.Context, req RouteRequest, opts ...RouteOption) (RouteResponse, error) {
-	cfg := n.newRouteConfig(opts)
+	cfg := newRouteConfig(opts)
 	snap := n.router.Snapshot()
 	res, err := snap.RouteCtx(ctx, cfg.algo, req.Src, req.Dst, cfg.opts)
 	if err != nil {
@@ -290,7 +274,7 @@ func (n *Network) Route(ctx context.Context, req RouteRequest, opts ...RouteOpti
 
 // finishResponse classifies a raw engine result into the v1 response and
 // error taxonomy, running the BFS oracle when enabled. Shared by Route and
-// the batch item mapper; everything reads the one pinned snapshot. Oracle
+// the RouteBatch workers; everything reads the one pinned snapshot. Oracle
 // distances come from the snapshot's spath.Oracle cache, so requests that
 // share an endpoint (repeated sources in a batch, hot destinations) reuse
 // one BFS field instead of recomputing an O(nodes) search per pair.

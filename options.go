@@ -3,9 +3,8 @@ package meshroute
 import "repro/internal/routing"
 
 // RouteOption is a functional option for Route and RouteBatch. Options
-// apply per call and override the network-level defaults (SetPolicy, the
-// RB2 default algorithm); zero options means "route with RB2, the
-// network's policy, and full oracle comparisons".
+// apply per call; zero options means "route with RB2, the diagonal
+// policy, and full oracle comparisons".
 type RouteOption func(*routeConfig)
 
 // routeConfig is the resolved per-call configuration.
@@ -16,10 +15,10 @@ type routeConfig struct {
 	oracle  bool
 }
 
-// newRouteConfig resolves the per-call configuration from the network
-// defaults and the caller's options.
-func (n *Network) newRouteConfig(opts []RouteOption) routeConfig {
-	cfg := routeConfig{algo: RB2, opts: *n.opts.Load(), oracle: true}
+// newRouteConfig resolves the per-call configuration from the defaults
+// and the caller's options.
+func newRouteConfig(opts []RouteOption) routeConfig {
+	cfg := routeConfig{algo: RB2, oracle: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -32,14 +31,16 @@ func WithAlgorithm(a Algorithm) RouteOption {
 	return func(c *routeConfig) { c.algo = a }
 }
 
-// WithPolicy overrides the adaptive selection policy of Algorithm 2
-// step 3 for this call (default: the network's SetPolicy value).
+// WithPolicy selects the adaptive selection policy of Algorithm 2 step 3
+// for this call (default PolicyDiagonal).
 func WithPolicy(p Policy) RouteOption {
 	return func(c *routeConfig) { c.opts.Policy = p }
 }
 
 // WithWorkers bounds the worker pool RouteBatch fans pairs across;
-// <= 0 (the default) means GOMAXPROCS. Single-pair Route ignores it.
+// <= 0 (the default) means GOMAXPROCS, and larger values are capped at
+// GOMAXPROCS (walks are CPU-bound; extra workers only pin memory).
+// Single-pair Route ignores it.
 func WithWorkers(workers int) RouteOption {
 	return func(c *routeConfig) { c.workers = workers }
 }

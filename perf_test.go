@@ -152,7 +152,6 @@ func TestBatchScratchPanics(t *testing.T) {
 			t.Fatal("batch with a caller scratch did not panic")
 		}
 	}()
-	opts := *net.opts.Load()
-	opts.Scratch = routing.NewScratch(mesh.Square(8))
+	opts := routing.Options{Scratch: routing.NewScratch(mesh.Square(8))}
 	net.Engine().Snapshot().BatchStream(context.Background(), RB2, []Pair{{S: C(0, 0), D: C(7, 7)}}, 2, opts)
 }
