@@ -382,16 +382,20 @@ metrics-smoke:
 	kill -TERM $$lpid $$fpid 2>/dev/null || true; wait 2>/dev/null || true; \
 	rm -rf $$tmp; exit $$status
 
-# Native Go fuzz smoke over the two trust boundaries: the journal's
+# Native Go fuzz smoke over the four trust boundaries: the journal's
 # frame decoder (corrupt and truncated WAL records must error, never
-# panic — the property crash recovery stands on) and the wire request
+# panic — the property crash recovery stands on), the wire request
 # decoders (arbitrary route, batch and faults bodies must get 200 or a
-# documented non-INTERNAL code). FUZZTIME bounds each run (CI uses a
-# short burst).
+# documented non-INTERNAL code), the follower's watch-stream handling
+# (arbitrary NDJSON must never move the applied version back) and the
+# failpoint spec parser (every accepted spec round-trips through
+# Fault.String). FUZZTIME bounds each run (CI uses a short burst).
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/journal
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRequests$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzFollowerStream$$' -fuzztime $(FUZZTIME) ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/errfs
 
 # Crash-recovery smoke (CI gate): boot meshd with a -data-dir, commit
 # fault transactions over two meshes via curl, SIGKILL the daemon, boot a

@@ -7,7 +7,6 @@
 //
 //	meshd [-addr 127.0.0.1:8080] [-addr-file path] [-drain 10s] \
 //	      [-max-nodes N] [-max-meshes N] [-max-batch-pairs N] \
-//	      [-oracle-bound N] \
 //	      [-data-dir dir] [-fsync always|none|100ms] [-checkpoint-every N] \
 //	      [-tenant-rate R] [-tenant-burst N] [-max-inflight N] \
 //	      [-admit-queue N] [-admit-wait D] [-fail spec]... \
@@ -115,7 +114,6 @@ func main() {
 	maxNodes := flag.Int("max-nodes", server.DefaultMaxNodes, "per-mesh node cap (width*height)")
 	maxMeshes := flag.Int("max-meshes", server.DefaultMaxMeshes, "registry size cap")
 	maxBatchPairs := flag.Int("max-batch-pairs", server.DefaultMaxBatchPairs, "per-request batch pair cap")
-	oracleBound := flag.Int("oracle-bound", 0, "cached BFS distance fields per snapshot (0 = engine default)")
 	dataDir := flag.String("data-dir", "", "journal mesh state here and recover it on boot (empty = memory only)")
 	fsync := flag.String("fsync", "always", "journal durability: always, none, or a flush interval like 100ms")
 	checkpointEvery := flag.Int("checkpoint-every", journal.DefaultCheckpointEvery, "compact each mesh journal after this many records")
@@ -183,7 +181,6 @@ func main() {
 		MaxNodes:      *maxNodes,
 		MaxMeshes:     *maxMeshes,
 		MaxBatchPairs: *maxBatchPairs,
-		OracleBound:   *oracleBound,
 		DataDir:       *dataDir,
 		Journal:       jopts,
 		FollowerOf:    leaderURL,

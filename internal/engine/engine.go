@@ -102,7 +102,7 @@ func NewSnapshot(f *fault.Set, opts Options) *Snapshot {
 		faults:   frozen,
 		analysis: a,
 		scratch:  new(sync.Pool),
-		oracle:   spath.NewOracle(frozen, opts.OracleBound),
+		oracle:   spath.NewOracle(frozen, 0),
 		metrics:  opts.Metrics,
 	}
 }
@@ -122,10 +122,11 @@ func (s *Snapshot) Faults() *fault.Set { return s.faults }
 func (s *Snapshot) Analysis() *routing.Analysis { return s.analysis }
 
 // Oracle returns the snapshot's BFS distance-field cache: lazily built,
-// bounded (Options.OracleBound), safe for concurrent use, and scoped to
-// exactly this fault configuration — a fault publication swaps in a fresh
-// snapshot and with it a fresh oracle, so cached distances can never go
-// stale. Measurement layers use it in place of per-pair spath.Distance.
+// bounded (spath.DefaultOracleBound), safe for concurrent use, and scoped
+// to exactly this fault configuration — a fault publication swaps in a
+// fresh snapshot and with it an empty oracle, so cached distances can
+// never go stale. Measurement layers use it in place of per-pair
+// spath.Distance.
 func (s *Snapshot) Oracle() *spath.Oracle { return s.oracle }
 
 // Version returns the monotone publication counter assigned by the Router
@@ -151,9 +152,6 @@ type Options struct {
 	// pass []info.Model{info.B2} to cut the per-publication rebuild cost.
 	// Routing an algorithm whose model was excluded is not safe.
 	Models []info.Model
-	// OracleBound caps the per-source BFS distance fields each snapshot's
-	// Oracle caches (<= 0 means spath.DefaultOracleBound).
-	OracleBound int
 	// Metrics, when non-nil, observes every routed walk (Snapshot.Route,
 	// RouteCtx and each batch item) on every snapshot the router
 	// publishes. See Metrics.
@@ -213,17 +211,12 @@ type Router struct {
 	vers atomic.Uint64
 	opts Options
 
-	// Cumulative rebuild/oracle accounting across every snapshot this
-	// router publishes. The oracle hit/miss pair is threaded into each
-	// snapshot's oracle (spath.NewOracleShared), so the served hit rate
-	// stays monotone across publications instead of resetting with each
-	// snapshot's own oracle.
-	oracleHits    atomic.Uint64
-	oracleMisses  atomic.Uint64
-	rebuildCells  atomic.Uint64 // labeling cells examined by delta-scoped rebuilds
-	oracleCarried atomic.Uint64 // BFS fields carried across oracle rebases
-	deltaBuilds   atomic.Uint64 // publications served by the incremental path
-	fullBuilds    atomic.Uint64 // publications that fell back to full precompute
+	// Cumulative rebuild accounting across every snapshot this router
+	// publishes. The oracle hit/miss pair lives in the oracles, which
+	// Rebase hands from each snapshot to the next.
+	rebuildCells atomic.Uint64 // labeling cells examined by delta-scoped rebuilds
+	deltaBuilds  atomic.Uint64 // publications served by the incremental path
+	fullBuilds   atomic.Uint64 // publications that fell back to full precompute
 }
 
 // RebuildStats is the router's cumulative delta-rebuild and oracle
@@ -236,34 +229,31 @@ type RebuildStats struct {
 	// RebuildCells counts labeling cells examined by delta-scoped
 	// rebuilds (all four orientations).
 	RebuildCells uint64
-	// OracleCarried counts BFS distance fields carried forward by oracle
-	// rebases instead of being recomputed.
-	OracleCarried uint64
 	// DeltaBuilds / FullBuilds count publications by rebuild path.
 	DeltaBuilds, FullBuilds uint64
 }
 
 // RebuildStats returns the cumulative counters. Safe for concurrent use.
 func (r *Router) RebuildStats() RebuildStats {
+	hits, misses := r.Snapshot().oracle.Stats()
 	return RebuildStats{
-		OracleHits:    r.oracleHits.Load(),
-		OracleMisses:  r.oracleMisses.Load(),
-		RebuildCells:  r.rebuildCells.Load(),
-		OracleCarried: r.oracleCarried.Load(),
-		DeltaBuilds:   r.deltaBuilds.Load(),
-		FullBuilds:    r.fullBuilds.Load(),
+		OracleHits:   hits,
+		OracleMisses: misses,
+		RebuildCells: r.rebuildCells.Load(),
+		DeltaBuilds:  r.deltaBuilds.Load(),
+		FullBuilds:   r.fullBuilds.Load(),
 	}
 }
 
 // buildSnapshotLocked constructs the next snapshot for f against the
-// currently published one. Small deltas take the incremental path —
-// routing.RebuildFrom over the exact fault diff plus an oracle rebase
-// that carries provably-unchanged distance fields; large deltas (at
-// least nodes/fullRebuildFactor cells, e.g. an inject_random replacing
-// the whole working set) fall back to a full precompute, which is
-// cheaper than chasing their consequences. Callers hold r.mu so the
-// delta is computed against the snapshot that publishLocked will
-// replace.
+// currently published one. Small deltas take the incremental path,
+// routing.RebuildFrom over the exact fault diff; large deltas (at least
+// nodes/fullRebuildFactor cells, e.g. an inject_random replacing the
+// whole working set) fall back to a full precompute, which is cheaper
+// than chasing their consequences. Either way the snapshot gets an empty
+// oracle that continues the previous one's hit/miss counters. Callers
+// hold r.mu so the delta is computed against the snapshot that
+// publishLocked will replace.
 func (r *Router) buildSnapshotLocked(f *fault.Set) *Snapshot {
 	prev := r.snap.Load()
 	frozen := f.Clone()
@@ -274,18 +264,15 @@ func (r *Router) buildSnapshotLocked(f *fault.Set) *Snapshot {
 		metrics: r.opts.Metrics,
 		delta:   Delta{Adds: adds, Repairs: repairs},
 	}
+	s.oracle, _ = prev.oracle.Rebase(frozen, adds, repairs)
 	if fullRebuildFactor*(len(adds)+len(repairs)) >= frozen.Mesh().Nodes() {
 		s.analysis = routing.NewAnalysis(frozen).Precompute(r.opts.Models...)
-		s.oracle = spath.NewOracleShared(frozen, r.opts.OracleBound, &r.oracleHits, &r.oracleMisses)
 		r.fullBuilds.Add(1)
 		return s
 	}
 	a, st := routing.RebuildFrom(prev.analysis, frozen, adds, repairs, r.opts.Models...)
-	oracle, carried := prev.oracle.Rebase(frozen, adds, repairs)
 	s.analysis = a
-	s.oracle = oracle
 	r.rebuildCells.Add(uint64(st.Cells))
-	r.oracleCarried.Add(uint64(carried))
 	r.deltaBuilds.Add(1)
 	return s
 }
@@ -301,9 +288,6 @@ func New(f *fault.Set, opts Options) *Router {
 	// The initial snapshot's scratch pool becomes the router's:
 	// buildSnapshotLocked hands it on to every later snapshot.
 	s := NewSnapshot(f, opts)
-	// Thread the router-owned counters into the initial oracle so every
-	// rebased generation keeps accumulating into the same pair.
-	s.oracle = spath.NewOracleShared(s.faults, opts.OracleBound, &r.oracleHits, &r.oracleMisses)
 	s.version = r.vers.Add(1)
 	r.snap.Store(s)
 	return r

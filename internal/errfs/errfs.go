@@ -108,6 +108,9 @@ type Fault struct {
 	Sticky bool
 }
 
+// String renders f in the ParseSpec form, so a logged fault can be
+// re-armed verbatim. The two canonical errors print as eio and enospc;
+// any other error prints its text, which ParseSpec rejects.
 func (f Fault) String() string {
 	s := fmt.Sprintf("%s:nth=%d", f.Op, max(f.Nth, 1))
 	if f.Path != "" {
@@ -118,6 +121,12 @@ func (f Fault) String() string {
 	}
 	if f.Sticky {
 		s += ":sticky"
+	}
+	switch f.Err {
+	case nil, ErrInjectedIO:
+		return s + ":err=eio"
+	case ErrInjectedNoSpc:
+		return s + ":err=enospc"
 	}
 	return fmt.Sprintf("%s:err=%v", s, f.Err)
 }

@@ -26,6 +26,10 @@ func TestParseSpec(t *testing.T) {
 		{spec: "sync:nth=x", bad: true},
 		{spec: "sync:err=eperm", bad: true},
 		{spec: "sync:bogus=1", bad: true},
+		// The form Fault.String prints (and meshd logs for every armed
+		// -fail spec) parses back.
+		{spec: Fault{Op: OpSync, Path: "wal.log", Nth: 12, Err: ErrInjectedNoSpc, Sticky: true}.String(),
+			want: Fault{Op: OpSync, Path: "wal.log", Nth: 12, Err: ErrInjectedNoSpc, Sticky: true}},
 	} {
 		got, err := ParseSpec(tc.spec)
 		if tc.bad {
@@ -42,6 +46,41 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.spec, got, tc.want)
 		}
 	}
+}
+
+// FuzzParseSpec checks that every spec ParseSpec accepts prints, through
+// Fault.String, as a spec that parses back to the same fault.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"sync",
+		"sync:path=wal.log:nth=12:err=eio",
+		"rename:path=checkpoint.db:err=enospc",
+		"write:nth=3:torn:sticky",
+		"open:path=a=b:nth=2:nth=7",
+		"truncate:path=:torn",
+		"sync:err=eperm",
+		"chmod",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		want, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		printed := want.String()
+		got, err := ParseSpec(printed)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v prints as %q, which does not parse: %v", spec, want, printed, err)
+		}
+		if !errors.Is(got.Err, want.Err) {
+			t.Fatalf("ParseSpec(%q) err %v came back from %q as %v", spec, want.Err, printed, got.Err)
+		}
+		got.Err, want.Err = nil, nil
+		if got != want {
+			t.Fatalf("ParseSpec(%q) = %+v came back from %q as %+v", spec, want, printed, got)
+		}
+	})
 }
 
 // TestNthAndPathMatching locks the counting contract: only the Nth

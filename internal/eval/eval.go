@@ -361,7 +361,7 @@ func Fig5e(ctx context.Context, cfg Config) (*stats.Table, error) {
 // DeliveryRates is an auxiliary panel (not in the paper) reporting the
 // percentage of delivered walks per algorithm; the paper assumes delivery
 // always succeeds, and this table quantifies how close the implementation
-// comes (border-clipped fault regions are the gap; see EXPERIMENTS.md).
+// comes (testdata/fig5_quick.golden records it at quick scale).
 func DeliveryRates(ctx context.Context, cfg Config) (*stats.Table, error) {
 	algos := []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3}
 	_, _, delivered, err := routedFigures(ctx, cfg, algos)

@@ -10,8 +10,8 @@ import (
 
 // tiny returns a fast configuration exercising every code path. 70 faults
 // on a 20x20 mesh is 17.5% density — proportionally harsher than most of
-// the paper's sweep, so thresholds below carry margins for border effects
-// (see EXPERIMENTS.md).
+// the paper's sweep, so thresholds below carry margins
+// (testdata/fig5_quick.golden records the measured rates at quick scale).
 func tiny() Config {
 	return Config{
 		MeshSize:    20,

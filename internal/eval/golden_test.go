@@ -1,0 +1,50 @@
+package eval
+
+import (
+	"context"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// TestFig5QuickGolden pins all six Figure 5 panels at Quick() scale to
+// testdata/fig5_quick.golden, which is meshfig's output without its
+// timings. After a change that moves a figure, regenerate it from the
+// repository root with
+//
+//	go run ./cmd/meshfig -fig all -scale quick | sed 's/  \[quick scale, .*\]$//' > internal/eval/testdata/fig5_quick.golden
+//
+// and let the diff show the change. The file holds one section per panel
+// in meshfig's order: a title line, the table and a blank line. The
+// titles are meshfig's and are not compared.
+func TestFig5QuickGolden(t *testing.T) {
+	if testing.Short() {
+		// About 3 s, and 10x that under -race; the determinism tests
+		// already drive the same sweep pool there.
+		t.Skip("full quick-scale sweep of all six panels")
+	}
+	raw, err := os.ReadFile("testdata/fig5_quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := strings.Split(strings.TrimSuffix(string(raw), "\n\n"), "\n\n")
+	panels := []struct {
+		name string
+		run  func(context.Context, Config) (*stats.Table, error)
+	}{
+		{"Fig5a", Fig5a}, {"Fig5b", Fig5b}, {"Fig5c", Fig5c},
+		{"Fig5d", Fig5d}, {"Fig5e", Fig5e}, {"DeliveryRates", DeliveryRates},
+	}
+	if len(sections) != len(panels) {
+		t.Fatalf("golden has %d sections, want %d", len(sections), len(panels))
+	}
+	for i, p := range panels {
+		tbl := run(t, p.run, Quick())
+		_, want, _ := strings.Cut(sections[i], "\n")
+		if got := strings.TrimSuffix(tbl.Render(), "\n"); got != want {
+			t.Errorf("%s at quick scale differs from the golden:\n--- got\n%s\n--- golden\n%s", p.name, got, want)
+		}
+	}
+}

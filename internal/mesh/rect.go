@@ -61,11 +61,6 @@ func (r Rect) Intersect(o Rect) Rect {
 	}
 }
 
-// Grow expands the rectangle by k nodes on every side.
-func (r Rect) Grow(k int) Rect {
-	return Rect{X0: r.X0 - k, Y0: r.Y0 - k, X1: r.X1 + k, Y1: r.Y1 + k}
-}
-
 // Clip restricts the rectangle to the mesh bounds; the result may be
 // invalid when the rectangle lies entirely outside.
 func (r Rect) Clip(m Mesh) Rect { return r.Intersect(m.Bounds()) }

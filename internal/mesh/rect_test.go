@@ -55,13 +55,15 @@ func TestRectIntersect(t *testing.T) {
 	}
 }
 
-func TestRectGrowClip(t *testing.T) {
+func TestRectClip(t *testing.T) {
 	m := Square(10)
-	r := Rect{X0: 0, Y0: 8, X1: 2, Y1: 9}
-	g := r.Grow(1).Clip(m)
+	r := Rect{X0: -1, Y0: 7, X1: 3, Y1: 10}
 	want := Rect{X0: 0, Y0: 7, X1: 3, Y1: 9}
-	if g != want {
-		t.Errorf("Grow+Clip = %v, want %v", g, want)
+	if g := r.Clip(m); g != want {
+		t.Errorf("Clip = %v, want %v", g, want)
+	}
+	if off := (Rect{X0: 10, Y0: 0, X1: 12, Y1: 3}).Clip(m); off.Valid() {
+		t.Errorf("Clip of a rect beside the mesh = %v, want invalid", off)
 	}
 }
 

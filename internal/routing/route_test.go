@@ -115,8 +115,9 @@ func TestAllOrientations(t *testing.T) {
 // achieves the BFS-optimal length in (essentially) all cases, RB3 in most,
 // and everything delivered is a valid path. Thresholds are deliberately a
 // little below the paper's (100% / >95%) to keep the test robust across
-// seeds while still catching regressions; EXPERIMENTS.md reports the
-// measured rates at the paper's scale.
+// seeds while still catching regressions;
+// internal/eval/testdata/fig5_quick.golden records the measured rates at
+// quick scale (40x40, up to 480 faults).
 func TestRandomFieldsOptimalityRates(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	type stat struct{ routed, optimal, delivered int }

@@ -23,7 +23,6 @@ const (
 	mWireErrors   = "meshd_wire_errors_total"
 	mOracleHits   = "meshd_oracle_hits_total"
 	mOracleMisses = "meshd_oracle_misses_total"
-	mOracleCarry  = "meshd_oracle_carried_total"
 	mRebuildDelta = "meshd_rebuild_delta_total"
 	mRebuildFull  = "meshd_rebuild_full_total"
 	mRebuildCells = "meshd_rebuild_cells_total"
@@ -58,7 +57,7 @@ func MetricNames() []string {
 	return []string{
 		mUptime,
 		mRoutes, mDelivered, mHops, mWalkLatency, mWireErrors,
-		mOracleHits, mOracleMisses, mOracleCarry,
+		mOracleHits, mOracleMisses,
 		mRebuildDelta, mRebuildFull, mRebuildCells,
 		mFaults, mSnapVersion, mWatchers, mWatchDropped,
 		mJournalRecords, mJournalCheckpoints, mJournalErrors,
@@ -162,7 +161,6 @@ func (s *Server) meshMetrics(e *telemetry.Exposition, me *meshEntry) {
 	rs := me.net.Engine().RebuildStats()
 	e.Counter(mOracleHits, "Distance-oracle cache hits.", labels, rs.OracleHits)
 	e.Counter(mOracleMisses, "Distance-oracle cache misses (BFS recomputes).", labels, rs.OracleMisses)
-	e.Counter(mOracleCarry, "BFS distance fields carried across publications by oracle rebases.", labels, rs.OracleCarried)
 	e.Counter(mRebuildDelta, "Snapshot publications served by the delta-scoped rebuild path.", labels, rs.DeltaBuilds)
 	e.Counter(mRebuildFull, "Snapshot publications that fell back to a full precompute.", labels, rs.FullBuilds)
 	e.Counter(mRebuildCells, "Labeling cells examined by delta-scoped rebuilds.", labels, rs.RebuildCells)

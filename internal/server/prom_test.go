@@ -159,9 +159,6 @@ meshd_oracle_hits_total{mesh="m"} 1
 # HELP meshd_oracle_misses_total Distance-oracle cache misses (BFS recomputes).
 # TYPE meshd_oracle_misses_total counter
 meshd_oracle_misses_total{mesh="m"} 1
-# HELP meshd_oracle_carried_total BFS distance fields carried across publications by oracle rebases.
-# TYPE meshd_oracle_carried_total counter
-meshd_oracle_carried_total{mesh="m"} 0
 # HELP meshd_rebuild_delta_total Snapshot publications served by the delta-scoped rebuild path.
 # TYPE meshd_rebuild_delta_total counter
 meshd_rebuild_delta_total{mesh="m"} 1

@@ -93,9 +93,6 @@ type Config struct {
 	// DefaultMaxBatchPairs). Streaming keeps memory at O(workers), so the
 	// cap guards CPU, not memory.
 	MaxBatchPairs int
-	// OracleBound caps each snapshot's cached BFS distance fields
-	// (<= 0 means the engine default).
-	OracleBound int
 	// DataDir, when set, makes mesh state durable: every registered mesh
 	// gets a fault-transaction journal under DataDir/<name>, every
 	// committed transaction is appended before its watchers are
@@ -311,7 +308,7 @@ func (s *Server) newMeshEntry(name string) (*meshEntry, journal.Options) {
 // collector as the walk hook and, when e has a journal, the journal as
 // the commit hook.
 func (s *Server) engineOptions(e *meshEntry) engine.Options {
-	opts := engine.Options{OracleBound: s.cfg.OracleBound, Metrics: e.metrics}
+	opts := engine.Options{Metrics: e.metrics}
 	if e.journal != nil {
 		opts.OnPublish = publishToJournal(e.journal)
 	}

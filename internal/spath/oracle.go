@@ -21,10 +21,8 @@ const DefaultOracleBound = 256
 // fields.
 //
 // The fault set must not change underneath the oracle; internal/engine
-// hangs one Oracle off each immutable Snapshot. A committed fault
-// transaction does not have to discard the cache wholesale: Rebase
-// carries every field whose distances provably cannot have changed into
-// the oracle of the next snapshot.
+// hangs one Oracle off each immutable Snapshot, and Rebase starts the
+// next snapshot's oracle empty.
 //
 // Concurrency: the source index is guarded by a mutex, but fields fill
 // outside it through a per-source once (singleflight) — concurrent
@@ -34,10 +32,9 @@ type Oracle struct {
 	f     *fault.Set
 	bound int
 
-	// The hit/miss counters live behind pointers so that an engine can
-	// hand every rebased generation of the oracle the same counters and
-	// report a monotone hit rate across snapshot publications. A
-	// stand-alone NewOracle owns its own pair.
+	// The hit/miss counters live behind pointers so that every Rebase
+	// generation accumulates into the pair NewOracle allocated, and an
+	// engine reports a monotone hit rate across snapshot publications.
 	hits   *atomic.Uint64 // queries served from an already-resident field
 	misses *atomic.Uint64 // queries that had to create (and fill) a field
 
@@ -74,29 +71,18 @@ type oracleField struct {
 // per-source fields (bound <= 0 means DefaultOracleBound). The caller
 // must stop mutating f.
 func NewOracle(f *fault.Set, bound int) *Oracle {
-	return NewOracleShared(f, bound, new(atomic.Uint64), new(atomic.Uint64))
-}
-
-// NewOracleShared is NewOracle with caller-owned hit/miss counters. The
-// engine threads one counter pair through every rebased oracle generation
-// of a mesh so the served hit rate is cumulative and monotone instead of
-// resetting at each snapshot publication.
-func NewOracleShared(f *fault.Set, bound int, hits, misses *atomic.Uint64) *Oracle {
 	if bound <= 0 {
 		bound = DefaultOracleBound
 	}
 	return &Oracle{
 		f:      f,
 		bound:  bound,
-		hits:   hits,
-		misses: misses,
+		hits:   new(atomic.Uint64),
+		misses: new(atomic.Uint64),
 		fields: make(map[int]*oracleField),
 		ring:   make([]int, 0),
 	}
 }
-
-// Faults returns the frozen fault configuration the oracle answers for.
-func (o *Oracle) Faults() *fault.Set { return o.f }
 
 // Len returns the number of cached distance fields.
 func (o *Oracle) Len() int {
@@ -107,9 +93,8 @@ func (o *Oracle) Len() int {
 
 // Stats returns the cumulative hit/miss counters: a hit is a query served
 // from a field already resident in the cache, a miss is a query that had
-// to create one (and pay its BFS). With NewOracleShared the counters span
-// every generation sharing them; a plain NewOracle's pair is scoped to
-// that oracle alone.
+// to create one (and pay its BFS). The counters span every Rebase
+// generation descended from one NewOracle.
 func (o *Oracle) Stats() (hits, misses uint64) {
 	return o.hits.Load(), o.misses.Load()
 }
@@ -177,17 +162,13 @@ func (o *Oracle) countQuery(created bool) {
 
 // fill completes an entry's BFS from src at most once per cache
 // residency (outside the index lock: concurrent readers of one source
-// wait on the once, not on the oracle). Rebased entries arrive with the
-// BFS already resident, so the guard inside the once keeps a carried
-// field from being recomputed even on the first post-rebase access.
+// wait on the once, not on the oracle).
 func (o *Oracle) fill(e *oracleField, src mesh.Coord) *BFS {
 	if e.done.Load() {
 		return e.bfs
 	}
 	e.once.Do(func() {
-		if e.bfs == nil {
-			e.bfs = NewBFS(o.f, src)
-		}
+		e.bfs = NewBFS(o.f, src)
 		e.done.Store(true)
 	})
 	return e.bfs
@@ -229,113 +210,19 @@ func (o *Oracle) Dist(s, d mesh.Coord) int32 {
 	return o.fill(e, s).Dist(d)
 }
 
-// Reachable reports whether d can be reached from s, served from the
-// cache.
-func (o *Oracle) Reachable(s, d mesh.Coord) bool { return o.Dist(s, d) < Infinite }
-
-// unchangedBy reports whether b's distance field is provably identical
-// over the fault set obtained by applying adds/repairs.
+// Rebase returns the oracle for the successor fault set next: an empty
+// cache over next that keeps o's bound and accumulates into o's hit/miss
+// counters, so an engine's hit rate stays monotone across publications.
+// Every field refills lazily on demand against next, and o remains valid
+// for readers of the old snapshot.
 //
-// The argument is purely component-based. A cell c with Dist(c) ==
-// Infinite lies outside the source's connected component; adding a fault
-// at an outside cell removes no vertex of the component, so every
-// distance inside is preserved and every outside cell stays Infinite.
-// Repairing a fault at c adds a healthy vertex; if all of c's in-mesh
-// neighbors are also outside the component, the new vertex attaches only
-// to outside territory and the component — hence the field — is again
-// untouched. Any delta cell violating these conditions may change the
-// field and the carry is refused.
-func unchangedBy(b *BFS, adds, repairs []mesh.Coord) bool {
-	rect, any := b.ReachedBounds()
-	if !any {
-		// Faulty-source field: everything is Infinite, and stays so as
-		// long as the source itself is untouched (the caller already
-		// refused deltas containing the source).
-		return true
-	}
-	// Frontier-bound fast path: a delta entirely outside the reached
-	// rectangle (grown by one for repairs, whose neighbors matter) cannot
-	// intersect the component.
-	grown := rect.Grow(1)
-	fast := true
-	for _, c := range adds {
-		if rect.Contains(c) {
-			fast = false
-			break
-		}
-	}
-	if fast {
-		for _, c := range repairs {
-			if grown.Contains(c) {
-				fast = false
-				break
-			}
-		}
-	}
-	if fast {
-		return true
-	}
-	for _, c := range adds {
-		if b.Dist(c) < Infinite {
-			return false
-		}
-	}
-	var nbuf [4]mesh.Coord
-	for _, c := range repairs {
-		if b.Dist(c) < Infinite {
-			return false
-		}
-		for _, n := range b.m.Neighbors(c, nbuf[:0]) {
-			if b.Dist(n) < Infinite {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Rebase builds the oracle for the successor fault set next (= o's set
-// with adds added and repairs removed), carrying forward every resident
-// distance field that provably cannot have changed:
-//
-//   - the source itself is untouched by the delta, and
-//   - every added fault is outside the field's reached component, and
-//   - every repaired cell is outside it with all its neighbors outside
-//     (checked first against the field's reached bounding rectangle,
-//     then exactly).
-//
-// Fields still mid-fill, and fields the delta may touch, are simply not
-// carried; they refill lazily on demand against next. The new oracle
-// shares o's bound and hit/miss counters, and carried reports how many
-// fields survived. o remains valid for readers of the old snapshot.
+// adds and repairs (the delta from o's set to next) are unused and
+// carried is always 0: no field is carried over. A field survives only a
+// delta that misses its source's connected component, and random faults
+// leave one giant component (8,494 of the 8,500 healthy nodes on the
+// benchmark fixture), so nearly every delta touches nearly every field.
 func (o *Oracle) Rebase(next *fault.Set, adds, repairs []mesh.Coord) (reb *Oracle, carried int) {
-	reb = NewOracleShared(next, o.bound, o.hits, o.misses)
-	m := o.f.Mesh()
-	delta := make(map[int]bool, len(adds)+len(repairs))
-	for _, c := range adds {
-		delta[m.Index(c)] = true
-	}
-	for _, c := range repairs {
-		delta[m.Index(c)] = true
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	// Walk the ring oldest-first so the rebased oracle preserves o's
-	// eviction order among the survivors.
-	for i := 0; i < o.count; i++ {
-		idx := o.ring[(o.head+i)%len(o.ring)]
-		e := o.fields[idx]
-		if e == nil || !e.done.Load() || delta[idx] {
-			continue
-		}
-		if !unchangedBy(e.bfs, adds, repairs) {
-			continue
-		}
-		ne := &oracleField{bfs: e.bfs}
-		ne.done.Store(true)
-		reb.fields[idx] = ne
-		reb.pushLocked(idx)
-		carried++
-	}
-	return reb, carried
+	reb = NewOracle(next, o.bound)
+	reb.hits, reb.misses = o.hits, o.misses
+	return reb, 0
 }

@@ -2,7 +2,6 @@ package spath
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
@@ -22,8 +21,8 @@ func applyDelta(f *fault.Set, adds, repairs []mesh.Coord) *fault.Set {
 }
 
 // TestRebaseCorrect drives random fault sequences and checks that every
-// answer a rebased oracle serves — carried field or not — matches a
-// from-scratch Distance over the new fault set.
+// answer a rebased oracle serves matches a from-scratch Distance over the
+// new fault set.
 func TestRebaseCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x9e8a))
 	for trial := 0; trial < 20; trial++ {
@@ -49,12 +48,7 @@ func TestRebaseCorrect(t *testing.T) {
 				}
 			}
 			f = applyDelta(f, adds, repairs)
-			var carried int
-			o, carried = o.Rebase(f, adds, repairs)
-			if o.Faults() != f {
-				t.Fatalf("rebased oracle must answer for the new set")
-			}
-			_ = carried
+			o, _ = o.Rebase(f, adds, repairs)
 			for q := 0; q < 40; q++ {
 				s := mesh.C(rng.Intn(w), rng.Intn(h))
 				d := mesh.C(rng.Intn(w), rng.Intn(h))
@@ -67,53 +61,20 @@ func TestRebaseCorrect(t *testing.T) {
 	}
 }
 
-// TestRebaseCarriesFarField checks the frontier-bound carry: a delta in a
-// region disconnected from a field's component keeps the field resident.
-func TestRebaseCarriesFarField(t *testing.T) {
-	m := mesh.New(9, 9)
-	f := fault.NewSet(m)
-	// Wall on column 4 splits the mesh into two components.
-	for y := 0; y < 9; y++ {
-		f.Add(mesh.C(4, y))
-	}
-	o := NewOracle(f, 16)
-	o.Field(mesh.C(1, 1)) // west component field
-
-	// Delta entirely in the east component.
-	adds := []mesh.Coord{mesh.C(7, 3)}
-	next := applyDelta(f, adds, nil)
-	reb, carried := o.Rebase(next, adds, nil)
-	if carried != 1 {
-		t.Fatalf("west field should be carried, got carried=%d", carried)
-	}
-	if reb.Len() != 1 {
-		t.Fatalf("rebased oracle should hold the carried field, len=%d", reb.Len())
-	}
-	if got, want := reb.Dist(mesh.C(1, 1), mesh.C(3, 8)), Distance(next, mesh.C(1, 1), mesh.C(3, 8)); got != want {
-		t.Fatalf("carried field answers wrong: %d want %d", got, want)
-	}
-
-	// A repair adjacent to the west component must invalidate it.
-	repairs := []mesh.Coord{mesh.C(4, 4)}
-	next2 := applyDelta(next, nil, repairs)
-	_, carried = reb.Rebase(next2, nil, repairs)
-	if carried != 0 {
-		t.Fatalf("repair touching the component boundary must not carry, got %d", carried)
-	}
-}
-
-// TestRebaseSharesCounters checks the monotone hit-rate contract: rebased
-// generations accumulate into the same counters.
+// TestRebaseSharesCounters checks the monotone hit-rate contract: a
+// rebased generation starts empty and accumulates into the same counters.
 func TestRebaseSharesCounters(t *testing.T) {
 	m := mesh.New(6, 6)
 	f := fault.NewSet(m)
-	var hits, misses atomic.Uint64
-	o := NewOracleShared(f, 8, &hits, &misses)
+	o := NewOracle(f, 8)
 	o.Field(mesh.C(0, 0))
 	o.Field(mesh.C(0, 0))
 	adds := []mesh.Coord{mesh.C(5, 5)}
 	next := applyDelta(f, adds, nil)
-	reb, _ := o.Rebase(next, adds, nil)
+	reb, carried := o.Rebase(next, adds, nil)
+	if carried != 0 || reb.Len() != 0 {
+		t.Fatalf("rebased oracle holds %d fields (carried %d), want an empty cache", reb.Len(), carried)
+	}
 	reb.Field(mesh.C(1, 1))
 	gh, gm := reb.Stats()
 	if gh != 1 || gm != 2 {

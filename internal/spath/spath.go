@@ -30,13 +30,6 @@ const Infinite = int32(1) << 30
 type BFS struct {
 	m    mesh.Mesh
 	dist []int32
-	// reach is the bounding rectangle of the reached cells — the field's
-	// frontier bound. The snapshot engine uses it to decide cheaply
-	// whether a fault delta can possibly intersect the field (see
-	// Oracle.Rebase); empty reports whether no cell was reached at all
-	// (faulty or out-of-mesh source).
-	reach mesh.Rect
-	empty bool
 }
 
 // NewBFS computes shortest-path distances from src over non-faulty nodes.
@@ -44,15 +37,13 @@ type BFS struct {
 // unreachable.
 func NewBFS(f *fault.Set, src mesh.Coord) *BFS {
 	m := f.Mesh()
-	b := &BFS{m: m, dist: make([]int32, m.Nodes()), empty: true}
+	b := &BFS{m: m, dist: make([]int32, m.Nodes())}
 	for i := range b.dist {
 		b.dist[i] = Infinite
 	}
 	if f.Faulty(src) || !m.In(src) {
 		return b
 	}
-	b.empty = false
-	b.reach = mesh.Rect{X0: src.X, Y0: src.Y, X1: src.X, Y1: src.Y}
 	queue := make([]int32, 0, m.Nodes())
 	si := int32(m.Index(src))
 	b.dist[si] = 0
@@ -66,30 +57,10 @@ func NewBFS(f *fault.Set, src mesh.Coord) *BFS {
 			if b.dist[ni] == Infinite && !f.Faulty(n) {
 				b.dist[ni] = b.dist[cur] + 1
 				queue = append(queue, ni)
-				if n.X < b.reach.X0 {
-					b.reach.X0 = n.X
-				}
-				if n.X > b.reach.X1 {
-					b.reach.X1 = n.X
-				}
-				if n.Y < b.reach.Y0 {
-					b.reach.Y0 = n.Y
-				}
-				if n.Y > b.reach.Y1 {
-					b.reach.Y1 = n.Y
-				}
 			}
 		}
 	}
 	return b
-}
-
-// ReachedBounds returns the bounding rectangle of the cells the source
-// reaches and whether any cell was reached at all. A delta entirely
-// outside the rectangle (expanded by one for repairs) provably cannot
-// change the distance field.
-func (b *BFS) ReachedBounds() (mesh.Rect, bool) {
-	return b.reach, !b.empty
 }
 
 // Dist returns D(src, d) in hops, or Infinite when d is unreachable,

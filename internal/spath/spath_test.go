@@ -219,3 +219,37 @@ func BenchmarkBFS100(b *testing.B) {
 // BenchmarkManhattanReachable100 here hardcoded a faulty endpoint and
 // measured only the early-out; it was removed rather than kept as a
 // near-duplicate series in BENCH_routing.json.)
+
+// TestManhattanReachableIsDistanceEqualsManhattan pins the identity the
+// facade derives ManhattanFeasible from: a path of exactly M(s,d) hops
+// exists iff the BFS distance D(s,d) equals M(s,d), since every path of
+// M(s,d) hops is monotone and D(s,d) >= M(s,d). Healthy endpoints on
+// random fields, s == d included.
+func TestManhattanReachableIsDistanceEqualsManhattan(t *testing.T) {
+	r := rand.New(rand.NewSource(0x5a7))
+	pairs := 0
+	for field := 0; field < 300; field++ {
+		w, h := 2+r.Intn(14), 2+r.Intn(14)
+		m := mesh.New(w, h)
+		f := fault.Uniform{}.Generate(m, r.Intn(m.Nodes()/3+1), r)
+		for q := 0; q < 60; q++ {
+			s := mesh.C(r.Intn(w), r.Intn(h))
+			d := s
+			if q%10 != 0 {
+				d = mesh.C(r.Intn(w), r.Intn(h))
+			}
+			if f.Faulty(s) || f.Faulty(d) {
+				continue
+			}
+			pairs++
+			want := Distance(f, s, d) == int32(s.Manhattan(d))
+			if got := ManhattanReachable(f, s, d); got != want {
+				t.Fatalf("field %d (%dx%d, %d faults): ManhattanReachable(%v,%v) = %v, D == M is %v",
+					field, w, h, f.Count(), s, d, got, want)
+			}
+		}
+	}
+	if pairs < 5000 {
+		t.Fatalf("only %d healthy pairs checked", pairs)
+	}
+}

@@ -79,7 +79,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/info"
-	"repro/internal/labeling"
 	"repro/internal/mcc"
 	"repro/internal/mesh"
 	"repro/internal/routing"
@@ -147,9 +146,8 @@ func New(w, h int) *Network { return NewWithEngineOptions(w, h, engine.Options{}
 // NewWithEngineOptions returns a fault-free W x H network whose engine is
 // configured with opts: serving layers use it to plumb a metrics hook
 // (engine.Options.Metrics), a commit observer (OnPublish — journaling
-// layers use it; the network chains its own Watch fan-out after it),
-// bound the oracle cache (OracleBound), or narrow the precomputed
-// information models (Models).
+// layers use it; the network chains its own Watch fan-out after it) or
+// narrow the precomputed information models (Models).
 func NewWithEngineOptions(w, h int, opts engine.Options) *Network {
 	return newNetwork(mesh.New(w, h), func(m mesh.Mesh) *fault.Set { return fault.NewSet(m) }, opts)
 }
@@ -305,18 +303,17 @@ func finishResponse(snap *engine.Snapshot, cfg routeConfig, s, d Coord, res engi
 		Downgraded:      res.Downgraded,
 		SnapshotVersion: res.Version,
 		WalkDuration:    res.Elapsed,
+		OracleDuration:  oracleDur,
 	}
 	if cfg.oracle {
-		manhattanStart := time.Now()
-		feasible := spath.ManhattanReachable(snap.Faults(), s, d)
-		oracleDur += time.Since(manhattanStart)
 		resp.Oracle = &OracleReport{
-			Optimal:           int(optimal),
-			Shortest:          res.Hops == int(optimal),
-			ManhattanFeasible: feasible,
+			Optimal:  int(optimal),
+			Shortest: res.Hops == int(optimal),
+			// A path of exactly Manhattan length exists iff the BFS
+			// optimum equals M(s,d): every M(s,d)-hop path is monotone.
+			ManhattanFeasible: int(optimal) == s.Manhattan(d),
 		}
 	}
-	resp.OracleDuration = oracleDur
 	return resp, nil
 }
 
@@ -329,12 +326,6 @@ func (n *Network) Engine() *engine.Router { return n.router }
 // The returned Analysis is immutable and safe for concurrent use.
 func (n *Network) Analysis() *routing.Analysis {
 	return n.router.Snapshot().Analysis()
-}
-
-// Unsafe reports whether c is unsafe (inside an MCC) for routings heading
-// toward the north-east quadrant, the paper's canonical orientation.
-func (n *Network) Unsafe(c Coord) bool {
-	return n.Analysis().Grid(mesh.NE).Unsafe(c)
 }
 
 // MCCs returns the fault regions for the canonical (north-east) travel
@@ -352,6 +343,3 @@ func (n *Network) InfoStore(m info.Model) *info.Store {
 func (n *Network) LabelCounts() (safe, faulty, useless, cantReach int) {
 	return n.Analysis().Grid(mesh.NE).Counts()
 }
-
-// BorderPolicy re-exports the labeling border policy for ablations.
-type BorderPolicy = labeling.BorderPolicy

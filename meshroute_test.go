@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/info"
+	"repro/internal/mesh"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -112,7 +113,7 @@ func TestFacadeAnalysisViews(t *testing.T) {
 	if got := len(net.MCCs()); got != 1 {
 		t.Fatalf("MCCs = %d, want 1", got)
 	}
-	if !net.Unsafe(C(4, 4)) {
+	if !net.Analysis().Grid(mesh.NE).Unsafe(C(4, 4)) {
 		t.Error("useless node not reported unsafe")
 	}
 	safe, faulty, useless, cantReach := net.LabelCounts()
