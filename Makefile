@@ -41,7 +41,7 @@ BENCH_BASE ?= origin/main
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet fmt-check staticcheck govulncheck lint tools-ci test test-examples race bench-smoke bench-json bench-compare serve loadgen smoke fuzz-smoke recover-smoke chaos-smoke cluster-smoke metrics-smoke check
+.PHONY: all build vet fmt-check staticcheck govulncheck lint tools-ci test test-examples race bench-smoke sim-smoke bench-json bench-compare serve loadgen smoke fuzz-smoke recover-smoke chaos-smoke cluster-smoke metrics-smoke check
 
 all: check
 
@@ -124,6 +124,13 @@ race:
 # parallel RB2 routing benchmarks without measuring.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkRouteRB2' -benchtime 1x .
+
+# Routed-sweep smoke: meshsim at its default 100x100 mesh and 1500
+# faults, one trial of ten pairs. meshsim exits non-zero when an
+# algorithm routed no pair, so a sweep that silently routes nothing
+# fails here.
+sim-smoke:
+	$(GO) run ./cmd/meshsim -trials 1 -pairs 10
 
 # Machine-readable benchmarks: runs the routing benchmarks with `go test
 # -json` and writes the event stream to $(BENCH_JSON) (benchmark results
@@ -438,4 +445,4 @@ recover-smoke:
 	kill -TERM $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; \
 	rm -rf $$tmp; exit $$status
 
-check: fmt-check vet build staticcheck lint test test-examples race bench-smoke fuzz-smoke govulncheck
+check: fmt-check vet build staticcheck lint test test-examples race bench-smoke sim-smoke fuzz-smoke govulncheck

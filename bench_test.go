@@ -72,26 +72,17 @@ func BenchmarkFig5c(b *testing.B) {
 	b.ReportMetric(lastAvg(tbl, 3, last), "B2%@max-faults")
 }
 
-// BenchmarkFig5d regenerates Figure 5(d): shortest-path success rates.
-func BenchmarkFig5d(b *testing.B) {
+// BenchmarkFig5Routed runs the routed sweep behind Figures 5(d) and 5(e):
+// shortest-path success rates and relative error vs the optimum.
+func BenchmarkFig5Routed(b *testing.B) {
 	cfg := quickCfg()
 	last := cfg.FaultCounts[len(cfg.FaultCounts)-1]
-	var tbl *stats.Table
+	var routed *eval.Routed
 	for i := 0; i < b.N; i++ {
-		tbl, _ = eval.Fig5d(context.Background(), cfg)
+		routed, _ = eval.Routing(context.Background(), cfg)
 	}
-	b.ReportMetric(lastAvg(tbl, 1, last), "RB2%@max-faults")
-}
-
-// BenchmarkFig5e regenerates Figure 5(e): relative error vs the optimum.
-func BenchmarkFig5e(b *testing.B) {
-	cfg := quickCfg()
-	last := cfg.FaultCounts[len(cfg.FaultCounts)-1]
-	var tbl *stats.Table
-	for i := 0; i < b.N; i++ {
-		tbl, _ = eval.Fig5e(context.Background(), cfg)
-	}
-	b.ReportMetric(lastAvg(tbl, 0, last), "ecube-err@max-faults")
+	b.ReportMetric(lastAvg(routed.Fig5d(), 1, last), "RB2%@max-faults")
+	b.ReportMetric(lastAvg(routed.Fig5e(), 0, last), "ecube-err@max-faults")
 }
 
 // --- substrate benchmarks ---
@@ -370,12 +361,11 @@ func BenchmarkAblationPolicies(b *testing.B) {
 			cfg := quickCfg()
 			cfg.FaultCounts = []int{240}
 			cfg.Policy = p
-			last := 240
-			var tbl *stats.Table
+			var routed *eval.Routed
 			for i := 0; i < b.N; i++ {
-				tbl, _ = eval.Fig5d(context.Background(), cfg)
+				routed, _ = eval.Routing(context.Background(), cfg)
 			}
-			b.ReportMetric(lastAvg(tbl, 1, last), "RB2%")
+			b.ReportMetric(lastAvg(routed.Fig5d(), 1, 240), "RB2%")
 		})
 	}
 }

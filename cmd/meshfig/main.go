@@ -7,6 +7,8 @@
 //	        [-trials N] [-pairs N] [-seed N] [-workers N]
 //
 // The full scale matches the paper: 100x100 mesh, faults swept 0..3000.
+// The three routed panels (5d, 5e, delivery) are views of one routed
+// sweep, run at most once per invocation.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sync"
 	"time"
 
 	"repro/internal/eval"
@@ -65,6 +68,14 @@ func main() {
 	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancelSignals()
 
+	// The routed panels are views of one sweep, run by the first of them.
+	routed := sync.OnceValues(func() (*eval.Routed, error) { return eval.Routing(ctx, cfg) })
+	view := func(table func(*eval.Routed) *stats.Table) func(context.Context, eval.Config) (*stats.Table, error) {
+		return func(context.Context, eval.Config) (*stats.Table, error) {
+			r, err := routed()
+			return table(r), err
+		}
+	}
 	panels := []struct {
 		name  string
 		title string
@@ -73,9 +84,9 @@ func main() {
 		{"5a", "Figure 5(a): % disabled area vs faults", eval.Fig5a},
 		{"5b", "Figure 5(b): number of MCCs vs faults", eval.Fig5b},
 		{"5c", "Figure 5(c): % nodes in info propagation (B1/B2/B3)", eval.Fig5c},
-		{"5d", "Figure 5(d): % shortest-path success (RB1/RB2/RB3)", eval.Fig5d},
-		{"5e", "Figure 5(e): relative error vs optimum (E-cube/RB1/RB2/RB3)", eval.Fig5e},
-		{"delivery", "Auxiliary: % delivered walks per algorithm", eval.DeliveryRates},
+		{"5d", "Figure 5(d): % shortest-path success (RB1/RB2/RB3)", view((*eval.Routed).Fig5d)},
+		{"5e", "Figure 5(e): relative error vs optimum (E-cube/RB1/RB2/RB3)", view((*eval.Routed).Fig5e)},
+		{"delivery", "Auxiliary: % delivered walks per algorithm", view((*eval.Routed).Delivery)},
 	}
 	ran := false
 	for _, p := range panels {

@@ -2,10 +2,13 @@
 // pairs over many random fault configurations and reports per-algorithm
 // delivery, optimality, and cost statistics, with every knob exposed.
 //
-// Routing runs on the concurrent engine (internal/engine): each trial
-// builds one immutable analysis snapshot and the sampled pairs stream
-// through a worker pool sized by -workers. Interrupting (ctrl-C) cancels
-// the in-flight batch promptly and prints the partial aggregates.
+// It is a front-end over the routed sweep of internal/eval at a single
+// fault count: the flags fill an eval.Config, and the fault draw, the
+// connectivity rule, the pair sampling and the routing are eval's. Trials
+// run on -workers goroutines; results for a fixed seed are identical for
+// any worker count. Interrupting (ctrl-C) stops the sweep between trials
+// and pairs and prints the partial aggregates. meshsim exits 1 when an
+// algorithm routed no pair.
 //
 // Usage:
 //
@@ -22,22 +25,22 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"text/tabwriter"
 
-	"repro/internal/engine"
+	"repro/internal/eval"
 	"repro/internal/fault"
-	"repro/internal/mesh"
 	"repro/internal/routing"
-	"repro/internal/spath"
 	"repro/internal/stats"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with an exit status, so the profile defers run before exit.
+func run() int {
 	n := flag.Int("n", 100, "mesh side length")
 	nFaults := flag.Int("faults", 1500, "faults per configuration")
 	trials := flag.Int("trials", 5, "random configurations")
@@ -45,20 +48,19 @@ func main() {
 	seed := flag.Int64("seed", 1, "base seed")
 	genName := flag.String("gen", "uniform", "fault generator: uniform, clustered, blocks")
 	policyName := flag.String("policy", "diagonal", "adaptive policy: diagonal, xfirst, yfirst")
-	workers := flag.Int("workers", 0, "routing worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS; capped at GOMAXPROCS); results are identical for any value")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the sweep) to this file")
 	flag.Parse()
 
-	// Validate flag values before starting any profile: os.Exit bypasses
-	// the Stop/write defers and would leave a truncated profile behind.
+	// Validate flag values before starting any profile.
 	gens := map[string]fault.Generator{
 		"uniform": fault.Uniform{}, "clustered": fault.Clustered{}, "blocks": fault.Blocks{},
 	}
 	gen, ok := gens[*genName]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "meshsim: unknown generator %q\n", *genName)
-		os.Exit(2)
+		return 2
 	}
 	policies := map[string]routing.Policy{
 		"diagonal": routing.PolicyDiagonal, "xfirst": routing.PolicyXFirst, "yfirst": routing.PolicyYFirst,
@@ -66,19 +68,19 @@ func main() {
 	policy, ok := policies[*policyName]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "meshsim: unknown policy %q\n", *policyName)
-		os.Exit(2)
+		return 2
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "meshsim: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "meshsim: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -101,83 +103,40 @@ func main() {
 	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancelSignals()
 
-	algos := []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3}
-	type agg struct {
-		routed, delivered, shortest int
-		hops, detours               stats.Accumulator
+	cfg := eval.Config{
+		MeshSize: *n, FaultCounts: []int{*nFaults}, Trials: *trials, Pairs: *pairs,
+		Seed: *seed, Gen: gen, Policy: policy, Workers: *workers,
 	}
-	perAlgo := map[routing.Algo]*agg{}
-	for _, al := range algos {
-		perAlgo[al] = &agg{}
-	}
-
-	m := mesh.Square(*n)
-	for trial := 0; trial < *trials; trial++ {
-		r := rand.New(rand.NewSource(*seed + int64(trial)))
-		f, ok := fault.GenerateConnected(gen, m, *nFaults, r, 25)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "meshsim: trial %d: no connected configuration at %d faults; skipping\n", trial, *nFaults)
-			continue
-		}
-		snap := engine.NewSnapshot(f, engine.Options{})
-		a := snap.Analysis()
-		oracle := snap.Oracle() // per-trial BFS cache; pairs sharing endpoints reuse fields
-		// Sample the trial's pairs sequentially (the RNG stream is part of
-		// the reproducible configuration), then fan the routing out.
-		var batch []engine.Pair
-		var optimal []int32
-		for p := 0; p < *pairs; p++ {
-			for attempt := 0; attempt < 200; attempt++ {
-				s := mesh.C(r.Intn(*n), r.Intn(*n))
-				d := mesh.C(r.Intn(*n), r.Intn(*n))
-				o := mesh.OrientFor(s, d)
-				if s == d || !a.Grid(o).Safe(o.To(m, s)) || !a.Grid(o).Safe(o.To(m, d)) {
-					continue
-				}
-				if dist := oracle.Dist(s, d); dist < spath.Infinite {
-					batch = append(batch, engine.Pair{S: s, D: d})
-					optimal = append(optimal, dist)
-					break
-				}
-			}
-		}
-		for _, al := range algos {
-			// Stream the batch: aggregate each outcome as a worker
-			// completes it, no buffered result slice.
-			for br := range snap.BatchStream(ctx, al, batch, *workers, routing.Options{Policy: policy}) {
-				ag := perAlgo[al]
-				ag.routed++
-				if br.Err != nil || !br.Res.Delivered {
-					continue
-				}
-				ag.delivered++
-				if int32(br.Res.Hops) == optimal[br.Index] {
-					ag.shortest++
-				}
-				ag.hops.Add(float64(br.Res.Hops))
-				ag.detours.Add(float64(br.Res.DetourHops))
-			}
-		}
-		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "meshsim: interrupted; reporting partial aggregates")
-			break
-		}
+	routed, err := eval.Routing(ctx, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "meshsim: interrupted; reporting partial aggregates")
 	}
 
 	fmt.Printf("meshsim: %dx%d mesh, %d faults (%s), %d trials x %d pairs, policy %s\n\n",
 		*n, *n, *nFaults, *genName, *trials, *pairs, *policyName)
+	// avg reads the sweep's one point; a series without samples reads 0.
+	avg := func(s *stats.Series) float64 {
+		if acc := s.At(*nFaults); acc != nil {
+			return acc.Avg()
+		}
+		return 0
+	}
+	status := 0
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "algo\trouted\tdelivered%\tshortest%\tavg hops\tavg detour hops")
-	for _, al := range algos {
-		ag := perAlgo[al]
-		if ag.routed == 0 {
-			fmt.Fprintf(w, "%v\t0\t-\t-\t-\t-\n", al)
+	for _, o := range routed.Algos {
+		acc := o.Shortest.At(*nFaults)
+		if acc == nil {
+			fmt.Fprintf(w, "%v\t0\t-\t-\t-\t-\n", o.Algo)
+			status = 1
 			continue
 		}
-		fmt.Fprintf(w, "%v\t%d\t%.1f\t%.1f\t%.1f\t%.2f\n", al, ag.routed,
-			100*float64(ag.delivered)/float64(ag.routed),
-			100*float64(ag.shortest)/float64(ag.routed),
-			ag.hops.Avg(), ag.detours.Avg())
+		fmt.Fprintf(w, "%v\t%d\t%.1f\t%.1f\t%.1f\t%.2f\n", o.Algo, acc.N(),
+			avg(o.Delivered), acc.Avg(), avg(o.Hops), avg(o.Detours))
 	}
 	w.Flush()
+	if status != 0 {
+		fmt.Fprintln(os.Stderr, "meshsim: an algorithm routed no pair")
+	}
+	return status
 }

@@ -26,11 +26,7 @@ func main() {
 	for _, failures := range []int{250, 1000, 2250} {
 		r := rand.New(rand.NewSource(99))
 		m := mesh.Square(n)
-		f, ok := fault.GenerateConnected(fault.Uniform{}, m, failures, r, 25)
-		if !ok {
-			fmt.Printf("%8d  (network disconnected)\n", failures)
-			continue
-		}
+		f := fault.Uniform{}.Generate(m, failures, r)
 		net := meshroute.NewSquare(n)
 		if err := net.Apply(func(tx *meshroute.Tx) error {
 			for _, c := range f.Coords() {
@@ -87,6 +83,9 @@ func main() {
 				failures, al, routed, 100*float64(shortest)/float64(routed), errSum/float64(routed))
 		}
 	}
-	fmt.Println("\nShortest-path success degrades slowest for RB2 (full information),")
-	fmt.Println("matching the paper's Figure 5(d); E-cube pays the largest detours.")
+	// One seed and 40 draws per point are too few to rank RB1-RB3 against
+	// each other; meshfig's Figure 5(d) averages many trials for that.
+	fmt.Println("\nE-cube pays the largest detours at every failure count. RB1-RB3 stay")
+	fmt.Println("within 2% of the optimal length up to 1000 failures and fall off once")
+	fmt.Println("2250 failures fragment the mesh (go run ./cmd/meshfig -fig 5d ranks them).")
 }

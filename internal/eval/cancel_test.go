@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// TestSweepCancellationIsPrompt cancels a sweep that would otherwise run
-// many trials and requires it to return quickly with the cancellation
-// cause and a partial (possibly empty) table.
+// TestSweepCancellationIsPrompt cancels a routed sweep that would
+// otherwise run many trials and requires it to return quickly with the
+// cancellation cause and a partial (possibly empty) result.
 func TestSweepCancellationIsPrompt(t *testing.T) {
 	cfg := Quick()
 	cfg.Trials = 50 // far more work than the deadline allows
@@ -18,15 +18,15 @@ func TestSweepCancellationIsPrompt(t *testing.T) {
 	cancel()
 
 	start := time.Now()
-	tbl, err := Fig5d(ctx, cfg)
+	routed, err := Routing(ctx, cfg)
 	if err == nil {
 		t.Fatal("canceled sweep returned no error")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("sweep error %v, want context.Canceled", err)
 	}
-	if tbl == nil {
-		t.Error("canceled sweep must still return the partial table")
+	if routed == nil || routed.Fig5d() == nil {
+		t.Error("canceled sweep must still return the partial result")
 	}
 	// "Prompt" here is loose — a single in-flight trial may finish — but a
 	// pre-canceled context must not run the whole 50-trial sweep.

@@ -1,17 +1,22 @@
 // Package eval regenerates the paper's evaluation — every panel of
 // Figure 5 — over the substrate packages. Each runner sweeps the number of
-// uniformly random faults on an n x n mesh, keeps only connected
-// configurations (the paper "only conduct[s] the test in the cases when the
-// entire mesh is not disconnected"), and aggregates the per-trial
-// quantities into the MAX and AVG series the figures plot.
+// random faults on an n x n mesh and aggregates the per-trial quantities
+// into the MAX and AVG series the figures plot. The paper "only
+// conduct[s] the test in the cases when the entire mesh is not
+// disconnected"; connectedSet explains why that can only mean the routed
+// pairs are connected.
 //
-// The runners return stats tables whose columns mirror the figure legends;
-// cmd/meshfig renders them and bench_test.go wraps each one in a
-// testing.B benchmark.
+// Figures 5(a)-(c) each have a cheap runner of their own. Figures 5(d),
+// 5(e) and the delivery table come from one simulation, the same random
+// pairs routed by E-cube, RB1, RB2 and RB3 and compared with the BFS
+// optimum: Routing runs it once and the three tables are views of its
+// result. cmd/meshfig renders the tables, cmd/meshsim prints one sweep
+// point of the routed sweep, and bench_test.go wraps the runners in
+// testing.B benchmarks.
 //
 // Every runner takes a context and checks it between trials (and between
 // routed pairs inside a trial): canceling the context abandons the sweep
-// promptly and returns the cancellation alongside the partial table.
+// promptly and returns the cancellation alongside the partial result.
 package eval
 
 import (
@@ -46,14 +51,20 @@ type Config struct {
 	Pairs int
 	// Seed fixes all randomness.
 	Seed int64
+	// Gen draws each trial's faults; nil means fault.Uniform{}, the
+	// paper's workload.
+	Gen fault.Generator
 	// Policy is the adaptive selector for the routing algorithms.
 	Policy routing.Policy
 	// Border selects the labeling border policy (ablation; default safe).
 	Border labeling.BorderPolicy
 	// Workers bounds the goroutines sweeping trials; <= 0 means
-	// GOMAXPROCS. Tables are byte-identical for every worker count: each
-	// (sweep point, trial) draws from its own seed-derived RNG and the
-	// emitted samples are merged back in serial order.
+	// GOMAXPROCS, and larger values are capped at GOMAXPROCS: each
+	// in-flight trial holds its own analysis, oracle and scratch, so a
+	// worker beyond the cores adds memory, never speed. Tables are
+	// byte-identical for every worker count: each (sweep point, trial)
+	// draws from its own seed-derived RNG and the emitted samples are
+	// merged back in serial order.
 	Workers int
 }
 
@@ -91,33 +102,37 @@ func (c Config) rng(faults, trial int) *rand.Rand {
 // routed pairs are connected, which the pair sampler enforces via the BFS
 // oracle. Full-mesh connectivity is therefore only attempted at low
 // densities and the draw is used regardless.
-func (c Config) connectedSet(m mesh.Mesh, faults, trial int) (*fault.Set, *rand.Rand, bool) {
+func (c Config) connectedSet(m mesh.Mesh, faults, trial int) (*fault.Set, *rand.Rand) {
+	gen := c.Gen
+	if gen == nil {
+		gen = fault.Uniform{}
+	}
 	r := c.rng(faults, trial)
 	if faults*8 < m.Nodes() {
-		if f, ok := fault.GenerateConnected(fault.Uniform{}, m, faults, r, 10); ok {
-			return f, r, true
+		if f, ok := fault.GenerateConnected(gen, m, faults, r, 10); ok {
+			return f, r
 		}
 	}
-	return fault.Uniform{}.Generate(m, faults, r), r, true
+	return gen.Generate(m, faults, r), r
 }
 
-// sample is one measurement a trial body emits: series index and value.
+// sample is one measurement a trial body emits: its series and value.
 type sample struct {
-	si int
-	v  float64
+	s *stats.Series
+	v float64
 }
 
 // sweep runs body once per (fault count, trial) pair across cfg.Workers
-// goroutines and replays every emitted sample into series in the serial
-// sweep order. Each pair already owns a seed-derived RNG (Config.rng), so
-// the bodies are order-independent, and the ordered replay makes the
-// resulting tables byte-identical for every worker count — float
-// accumulation happens in one fixed order.
+// goroutines and replays every emitted sample into its series in the
+// serial sweep order. Each pair already owns a seed-derived RNG
+// (Config.rng), so the bodies are order-independent, and the ordered
+// replay makes the resulting tables byte-identical for every worker count
+// — float accumulation happens in one fixed order.
 //
 // Workers check ctx between trials: on cancellation they stop claiming
 // jobs, the completed trials' samples are still replayed (partial tables
 // render), and the cancellation cause is returned.
-func (c Config) sweep(ctx context.Context, series []*stats.Series, body func(n, trial int, emit func(si int, v float64))) error {
+func (c Config) sweep(ctx context.Context, body func(n, trial int, emit func(*stats.Series, float64))) error {
 	type job struct{ n, trial int }
 	jobs := make([]job, 0, len(c.FaultCounts)*c.Trials)
 	for _, n := range c.FaultCounts {
@@ -127,8 +142,8 @@ func (c Config) sweep(ctx context.Context, series []*stats.Series, body func(n, 
 	}
 	emitted := make([][]sample, len(jobs))
 	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -144,8 +159,8 @@ func (c Config) sweep(ctx context.Context, series []*stats.Series, body func(n, 
 				if i >= len(jobs) {
 					return
 				}
-				body(jobs[i].n, jobs[i].trial, func(si int, v float64) {
-					emitted[i] = append(emitted[i], sample{si, v})
+				body(jobs[i].n, jobs[i].trial, func(s *stats.Series, v float64) {
+					emitted[i] = append(emitted[i], sample{s, v})
 				})
 			}
 		}()
@@ -153,7 +168,7 @@ func (c Config) sweep(ctx context.Context, series []*stats.Series, body func(n, 
 	wg.Wait()
 	for i, j := range jobs {
 		for _, s := range emitted[i] {
-			series[s.si].Add(j.n, s.v)
+			s.s.Add(j.n, s.v)
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -162,41 +177,38 @@ func (c Config) sweep(ctx context.Context, series []*stats.Series, body func(n, 
 	return nil
 }
 
+// maxAvg tables the MAX and AVG of each series, the two the paper plots.
+func maxAvg(series ...*stats.Series) *stats.Table {
+	t := &stats.Table{XLabel: "faults"}
+	for _, s := range series {
+		t.Columns = append(t.Columns, stats.Column{Series: s, Reduction: stats.Max}, stats.Column{Series: s, Reduction: stats.Avg})
+	}
+	return t
+}
+
 // Fig5a measures the percentage of disabled (unsafe) area to the total
 // area of the mesh: series MAX and AVG over trials per fault count.
 func Fig5a(ctx context.Context, cfg Config) (*stats.Table, error) {
 	series := stats.NewSeries("disabled%")
 	m := mesh.Square(cfg.MeshSize)
-	err := cfg.sweep(ctx, []*stats.Series{series}, func(n, trial int, emit func(int, float64)) {
-		f, _, ok := cfg.connectedSet(m, n, trial)
-		if !ok {
-			return
-		}
+	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
+		f, _ := cfg.connectedSet(m, n, trial)
 		g := labeling.Compute(f, cfg.Border)
-		emit(0, 100*float64(g.UnsafeCount())/float64(m.Nodes()))
+		emit(series, 100*float64(g.UnsafeCount())/float64(m.Nodes()))
 	})
-	return &stats.Table{
-		XLabel:  "faults",
-		Columns: []stats.Column{{Series: series, Reduction: stats.Max}, {Series: series, Reduction: stats.Avg}},
-	}, err
+	return maxAvg(series), err
 }
 
 // Fig5b measures the number of MCCs per fault count (MAX and AVG).
 func Fig5b(ctx context.Context, cfg Config) (*stats.Table, error) {
 	series := stats.NewSeries("MCCs")
 	m := mesh.Square(cfg.MeshSize)
-	err := cfg.sweep(ctx, []*stats.Series{series}, func(n, trial int, emit func(int, float64)) {
-		f, _, ok := cfg.connectedSet(m, n, trial)
-		if !ok {
-			return
-		}
+	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
+		f, _ := cfg.connectedSet(m, n, trial)
 		set := mcc.Extract(labeling.Compute(f, cfg.Border))
-		emit(0, float64(set.Len()))
+		emit(series, float64(set.Len()))
 	})
-	return &stats.Table{
-		XLabel:  "faults",
-		Columns: []stats.Column{{Series: series, Reduction: stats.Max}, {Series: series, Reduction: stats.Avg}},
-	}, err
+	return maxAvg(series), err
 }
 
 // Fig5c measures the percentage of nodes involved in information
@@ -209,11 +221,8 @@ func Fig5c(ctx context.Context, cfg Config) (*stats.Table, error) {
 		series[i] = stats.NewSeries(mod.String())
 	}
 	m := mesh.Square(cfg.MeshSize)
-	err := cfg.sweep(ctx, series, func(n, trial int, emit func(int, float64)) {
-		f, _, ok := cfg.connectedSet(m, n, trial)
-		if !ok {
-			return
-		}
+	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
+		f, _ := cfg.connectedSet(m, n, trial)
 		g := labeling.Compute(f, cfg.Border)
 		if g.SafeCount() == 0 {
 			return
@@ -221,14 +230,10 @@ func Fig5c(ctx context.Context, cfg Config) (*stats.Table, error) {
 		set := mcc.Extract(g)
 		for i, mod := range models {
 			st := info.Build(mod, set)
-			emit(i, 100*float64(st.Participants())/float64(g.SafeCount()))
+			emit(series[i], 100*float64(st.Participants())/float64(g.SafeCount()))
 		}
 	})
-	var cols []stats.Column
-	for _, s := range series {
-		cols = append(cols, stats.Column{Series: s, Reduction: stats.Max}, stats.Column{Series: s, Reduction: stats.Avg})
-	}
-	return &stats.Table{XLabel: "faults", Columns: cols}, err
+	return maxAvg(series...), err
 }
 
 // pairSampler draws random pairs matching the paper's setup: both
@@ -264,32 +269,50 @@ func (p pairSampler) draw() (s, d mesh.Coord, optimal int32, ok bool) {
 	return s, d, 0, false
 }
 
-// routedFigures runs the routing sweep shared by Figures 5(d) and 5(e),
-// returning success-rate and relative-error series per algorithm. Trials
-// run in parallel (Config.Workers); each trial builds its own analysis and
-// RNG, so no routing state is shared across goroutines.
-func routedFigures(ctx context.Context, cfg Config, algos []routing.Algo) (success, relerr, delivered map[routing.Algo]*stats.Series, err error) {
-	success = map[routing.Algo]*stats.Series{}
-	relerr = map[routing.Algo]*stats.Series{}
-	delivered = map[routing.Algo]*stats.Series{}
-	// Flat series layout for the sweep: per algorithm index ai, the series
-	// indices are 3*ai (success), 3*ai+1 (relerr), 3*ai+2 (delivered).
-	flat := make([]*stats.Series, 0, 3*len(algos))
-	for _, al := range algos {
-		success[al] = stats.NewSeries(al.String())
-		relerr[al] = stats.NewSeries(al.String())
-		delivered[al] = stats.NewSeries(al.String())
-		flat = append(flat, success[al], relerr[al], delivered[al])
+// Outcomes holds one algorithm's series from the routed sweep, each keyed
+// by fault count.
+type Outcomes struct {
+	Algo routing.Algo
+	// Shortest gets 100 per pair routed in the BFS-optimal number of hops
+	// and 0 per other pair, undelivered ones included.
+	Shortest *stats.Series
+	// RelErr gets (hops - optimal) / optimal per delivered pair.
+	RelErr *stats.Series
+	// Delivered gets 100 per delivered walk and 0 per undelivered one.
+	Delivered *stats.Series
+	// Hops and Detours get each delivered walk's hop count and the hops
+	// it took in wall-following detour mode.
+	Hops, Detours *stats.Series
+}
+
+// Routed is the result of the routed sweep: one Outcomes per algorithm,
+// E-cube, RB1, RB2 and RB3 in that order, all measured on the same pairs.
+type Routed struct {
+	Algos []Outcomes
+}
+
+// Routing runs the routed sweep behind Figures 5(d) and 5(e) and the
+// delivery table. Each trial draws a fault set, samples Config.Pairs
+// pairs with pairSampler, and routes every pair under all four
+// algorithms. Trials run in parallel (Config.Workers); each builds its own
+// analysis, oracle and RNG, so no routing state is shared across
+// goroutines.
+func Routing(ctx context.Context, cfg Config) (*Routed, error) {
+	out := &Routed{}
+	for _, al := range []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3} {
+		name := al.String()
+		out.Algos = append(out.Algos, Outcomes{
+			Algo:     al,
+			Shortest: stats.NewSeries(name), RelErr: stats.NewSeries(name), Delivered: stats.NewSeries(name),
+			Hops: stats.NewSeries(name), Detours: stats.NewSeries(name),
+		})
 	}
 	m := mesh.Square(cfg.MeshSize)
 	// Walk scratches are pooled across trials: worker goroutines come and
 	// go with the sweep, but the buffers (sized by the mesh) survive.
 	var scratches sync.Pool
-	err = cfg.sweep(ctx, flat, func(n, trial int, emit func(int, float64)) {
-		f, r, ok := cfg.connectedSet(m, n, trial)
-		if !ok {
-			return
-		}
+	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
+		f, r := cfg.connectedSet(m, n, trial)
 		a := routing.NewAnalysisWithPolicy(f, cfg.Border)
 		opt := routing.Options{Policy: cfg.Policy}
 		if sc, ok := scratches.Get().(*routing.Scratch); ok {
@@ -307,67 +330,56 @@ func routedFigures(ctx context.Context, cfg Config, algos []routing.Algo) (succe
 			if !ok {
 				break
 			}
-			for ai, al := range algos {
-				res := routing.Route(a, al, s, d, opt)
+			for _, o := range out.Algos {
+				res := routing.Route(a, o.Algo, s, d, opt)
 				if !res.Delivered {
-					// Undelivered: counts against the success rate and
-					// the delivery series; excluded from path-length
-					// averages (no length to compare).
-					emit(3*ai, 0)
-					emit(3*ai+2, 0)
+					// No length to compare: counts against the success
+					// and delivery rates only.
+					emit(o.Shortest, 0)
+					emit(o.Delivered, 0)
 					continue
 				}
-				emit(3*ai+2, 100)
+				shortest := 0.0
 				if int32(res.Hops) == optimal {
-					emit(3*ai, 100)
-				} else {
-					emit(3*ai, 0)
+					shortest = 100
 				}
-				if optimal > 0 {
-					emit(3*ai+1, float64(res.Hops-int(optimal))/float64(optimal))
-				}
+				emit(o.Shortest, shortest)
+				emit(o.Delivered, 100)
+				// s != d, so optimal >= 1.
+				emit(o.RelErr, float64(res.Hops-int(optimal))/float64(optimal))
+				emit(o.Hops, float64(res.Hops))
+				emit(o.Detours, float64(res.DetourHops))
 			}
 		}
 	})
-	return success, relerr, delivered, err
+	return out, err
 }
 
-// Fig5d measures the percentage of routings that achieve the shortest path
-// for RB1, RB2, and RB3.
-func Fig5d(ctx context.Context, cfg Config) (*stats.Table, error) {
-	success, _, _, err := routedFigures(ctx, cfg, []routing.Algo{routing.RB1, routing.RB2, routing.RB3})
-	return &stats.Table{
-		XLabel: "faults",
-		Columns: []stats.Column{
-			{Series: success[routing.RB1], Reduction: stats.Avg},
-			{Series: success[routing.RB2], Reduction: stats.Avg},
-			{Series: success[routing.RB3], Reduction: stats.Avg},
-		},
-	}, err
-}
-
-// Fig5e measures the relative error of the achieved path length to the
-// shortest path for E-cube, RB1, RB2, and RB3.
-func Fig5e(ctx context.Context, cfg Config) (*stats.Table, error) {
-	algos := []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3}
-	_, relerr, _, err := routedFigures(ctx, cfg, algos)
-	var cols []stats.Column
-	for _, al := range algos {
-		cols = append(cols, stats.Column{Series: relerr[al], Reduction: stats.Avg})
+// avgs tables the AVG of one quantity for each of algos.
+func avgs(algos []Outcomes, quantity func(Outcomes) *stats.Series, digits int) *stats.Table {
+	t := &stats.Table{XLabel: "faults", Digits: digits}
+	for _, o := range algos {
+		t.Columns = append(t.Columns, stats.Column{Series: quantity(o), Reduction: stats.Avg})
 	}
-	return &stats.Table{XLabel: "faults", Columns: cols, Digits: 4}, err
+	return t
 }
 
-// DeliveryRates is an auxiliary panel (not in the paper) reporting the
+// Fig5d is Figure 5(d): the percentage of routings that achieve the
+// shortest path, for RB1, RB2, and RB3.
+func (r *Routed) Fig5d() *stats.Table {
+	return avgs(r.Algos[1:], func(o Outcomes) *stats.Series { return o.Shortest }, 0)
+}
+
+// Fig5e is Figure 5(e): the relative error of the achieved path length to
+// the shortest path, for E-cube, RB1, RB2, and RB3.
+func (r *Routed) Fig5e() *stats.Table {
+	return avgs(r.Algos, func(o Outcomes) *stats.Series { return o.RelErr }, 4)
+}
+
+// Delivery is an auxiliary table (not in the paper) reporting the
 // percentage of delivered walks per algorithm; the paper assumes delivery
 // always succeeds, and this table quantifies how close the implementation
 // comes (testdata/fig5_quick.golden records it at quick scale).
-func DeliveryRates(ctx context.Context, cfg Config) (*stats.Table, error) {
-	algos := []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3}
-	_, _, delivered, err := routedFigures(ctx, cfg, algos)
-	var cols []stats.Column
-	for _, al := range algos {
-		cols = append(cols, stats.Column{Series: delivered[al], Reduction: stats.Avg})
-	}
-	return &stats.Table{XLabel: "faults", Columns: cols}, err
+func (r *Routed) Delivery() *stats.Table {
+	return avgs(r.Algos, func(o Outcomes) *stats.Series { return o.Delivered }, 0)
 }

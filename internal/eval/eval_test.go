@@ -33,6 +33,17 @@ func run(t *testing.T, f func(context.Context, Config) (*stats.Table, error), cf
 	return tbl
 }
 
+// route runs the routed sweep under a background context, failing the
+// test on any sweep error.
+func route(t *testing.T, cfg Config) *Routed {
+	t.Helper()
+	r, err := Routing(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("sweep failed: %v", err)
+	}
+	return r
+}
+
 func value(t *testing.T, tbl *stats.Table, col int, x int) float64 {
 	t.Helper()
 	c := tbl.Columns[col]
@@ -94,7 +105,7 @@ func TestFig5cOrdering(t *testing.T) {
 }
 
 func TestFig5dOrdering(t *testing.T) {
-	tbl := run(t, Fig5d, tiny())
+	tbl := route(t, tiny()).Fig5d()
 	// Columns: RB1, RB2, RB3 average success.
 	rb1 := value(t, tbl, 0, 30)
 	rb2 := value(t, tbl, 1, 30)
@@ -117,7 +128,7 @@ func TestFig5dOrdering(t *testing.T) {
 }
 
 func TestFig5eShape(t *testing.T) {
-	tbl := run(t, Fig5e, tiny())
+	tbl := route(t, tiny()).Fig5e()
 	// Columns: E-cube, RB1, RB2, RB3 relative error averages.
 	for col := 0; col < 4; col++ {
 		if got := value(t, tbl, col, 0); got != 0 {
@@ -138,7 +149,7 @@ func TestFig5eShape(t *testing.T) {
 }
 
 func TestDeliveryRates(t *testing.T) {
-	tbl := run(t, DeliveryRates, tiny())
+	tbl := route(t, tiny()).Delivery()
 	for col := 0; col < 4; col++ {
 		if got := value(t, tbl, col, 70); got < 88 {
 			t.Errorf("delivery col %d = %v%%, want >= 88%%", col, got)

@@ -1,12 +1,9 @@
 package eval
 
 import (
-	"context"
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 // TestFig5QuickGolden pins all six Figure 5 panels at Quick() scale to
@@ -21,7 +18,7 @@ import (
 // titles are meshfig's and are not compared.
 func TestFig5QuickGolden(t *testing.T) {
 	if testing.Short() {
-		// About 3 s, and 10x that under -race; the determinism tests
+		// About 1.5 s, and 10x that under -race; the determinism tests
 		// already drive the same sweep pool there.
 		t.Skip("full quick-scale sweep of all six panels")
 	}
@@ -30,20 +27,13 @@ func TestFig5QuickGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sections := strings.Split(strings.TrimSuffix(string(raw), "\n\n"), "\n\n")
-	panels := []struct {
-		name string
-		run  func(context.Context, Config) (*stats.Table, error)
-	}{
-		{"Fig5a", Fig5a}, {"Fig5b", Fig5b}, {"Fig5c", Fig5c},
-		{"Fig5d", Fig5d}, {"Fig5e", Fig5e}, {"DeliveryRates", DeliveryRates},
+	ps := panels(t, Quick())
+	if len(sections) != len(ps) {
+		t.Fatalf("golden has %d sections, want %d", len(sections), len(ps))
 	}
-	if len(sections) != len(panels) {
-		t.Fatalf("golden has %d sections, want %d", len(sections), len(panels))
-	}
-	for i, p := range panels {
-		tbl := run(t, p.run, Quick())
+	for i, p := range ps {
 		_, want, _ := strings.Cut(sections[i], "\n")
-		if got := strings.TrimSuffix(tbl.Render(), "\n"); got != want {
+		if got := strings.TrimSuffix(p.tbl.Render(), "\n"); got != want {
 			t.Errorf("%s at quick scale differs from the golden:\n--- got\n%s\n--- golden\n%s", p.name, got, want)
 		}
 	}

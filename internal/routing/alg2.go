@@ -59,9 +59,6 @@ func (e env) candidates(cu, ct mesh.Coord, dst []mesh.Direction) []mesh.Directio
 //
 //meshlint:hotpath
 func (e env) excluded(cu, target, ct mesh.Coord) bool {
-	if e.store == nil {
-		return false
-	}
 	for _, tr := range e.store.TriplesAt(cu) {
 		if a := tr.Kind.Axis(); tr.F.InForbidden(a, target) && tr.F.InCritical(a, ct) {
 			return true

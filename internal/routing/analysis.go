@@ -164,16 +164,11 @@ type env struct {
 	orient mesh.Orient
 	grid   *labeling.Grid
 	set    *mcc.Set
-	store  *info.Store // nil for E-cube (neighbor knowledge only)
+	store  *info.Store
 }
 
 // envFor assembles the environment for a leg from u toward t under a model.
-// useStore selects whether the algorithm consults deposited triples.
-func (a *Analysis) envFor(u, t mesh.Coord, model info.Model, useStore bool) env {
+func (a *Analysis) envFor(u, t mesh.Coord, model info.Model) env {
 	o := mesh.OrientFor(u, t)
-	e := env{orient: o, grid: a.Grid(o), set: a.MCCs(o)}
-	if useStore {
-		e.store = a.Store(model, o)
-	}
-	return e
+	return env{orient: o, grid: a.Grid(o), set: a.MCCs(o), store: a.Store(model, o)}
 }

@@ -62,12 +62,8 @@ func TestEnvForSelectsLegOrientation(t *testing.T) {
 		{mesh.C(8, 8), mesh.C(1, 1), mesh.SW},
 	}
 	for _, c := range cases {
-		e := a.envFor(c.u, c.t, info.B1, false)
-		if e.orient != c.want {
+		if e := a.envFor(c.u, c.t, info.B1); e.orient != c.want {
 			t.Errorf("envFor(%v,%v) orient = %v, want %v", c.u, c.t, e.orient, c.want)
-		}
-		if e.store != nil {
-			t.Error("useStore=false must not build a store")
 		}
 	}
 }

@@ -109,7 +109,7 @@ func (p *planner) dist(x mesh.Coord) (int, bool) {
 		// fault regions and information.
 		ox := p.e.orient.From(p.a.m, x)
 		od := p.e.orient.From(p.a.m, p.cd)
-		e2 := p.a.envFor(ox, od, p.model, true)
+		e2 := p.a.envFor(ox, od, p.model)
 		p.sc.planLevel++
 		tbl := p.sc.planTableAt(p.sc.planLevel)
 		p2 := planner{
@@ -202,7 +202,7 @@ func findSequenceFull(e env, cu, cd mesh.Coord) *mcc.Sequence {
 //
 //meshlint:hotpath
 func findSequenceB3(e env, cu, cd mesh.Coord) *mcc.Sequence {
-	if e.store == nil || !e.store.HasInfo(cu) {
+	if !e.store.HasInfo(cu) {
 		return nil
 	}
 	// Seeds: components whose triples are present at cu and whose extended

@@ -14,7 +14,7 @@ func planEnv(t *testing.T, model info.Model, faults ...mesh.Coord) (*Analysis, e
 	t.Helper()
 	m := mesh.Square(14)
 	a := NewAnalysis(fault.FromCoords(m, faults...))
-	return a, a.envFor(mesh.C(0, 0), mesh.C(13, 13), model, true)
+	return a, a.envFor(mesh.C(0, 0), mesh.C(13, 13), model)
 }
 
 func TestPlannerSingleComponentOptions(t *testing.T) {

@@ -15,9 +15,6 @@ type RebuildStats struct {
 	// all four orientations — the delta-scoped substitute for the 4*nodes
 	// cells a full precompute labels.
 	Cells int
-	// SharedStores counts information stores carried over wholesale
-	// (orientation's unsafe partition untouched by the delta).
-	SharedStores int
 }
 
 // RebuildFrom builds the Analysis for fault set f — prev's configuration
@@ -77,7 +74,6 @@ func RebuildFrom(prev *Analysis, f *fault.Set, adds, repairs []mesh.Coord, model
 			a.unsafeBits[o] = prev.unsafeMask(o)
 			for _, mod := range models {
 				a.stores[mod][o] = prev.Store(mod, o)
-				st.SharedStores++
 			}
 			continue
 		}

@@ -441,7 +441,7 @@ func (a *Analysis) routePlanned(s, d mesh.Coord, opt Options, model info.Model, 
 		if npend > 0 {
 			target = pending[0]
 		}
-		e := a.envFor(w.u, target, model, true)
+		e := a.envFor(w.u, target, model)
 		cu, ct := e.orient.To(a.m, w.u), e.orient.To(a.m, target)
 		// Plan detours only on the final-destination leg; pivot legs are
 		// already part of a plan. The replan guard limits in-place loops
@@ -457,7 +457,7 @@ func (a *Analysis) routePlanned(s, d mesh.Coord, opt Options, model info.Model, 
 					}
 					if npend > 0 {
 						target = pending[0]
-						e = a.envFor(w.u, target, model, true)
+						e = a.envFor(w.u, target, model)
 						cu, ct = e.orient.To(a.m, w.u), e.orient.To(a.m, target)
 					}
 				}

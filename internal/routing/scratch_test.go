@@ -55,7 +55,7 @@ func TestDowngradeSwitchesWallOnce(t *testing.T) {
 	a := NewAnalysis(f).Precompute()
 	opt := Options{Scratch: NewScratch(a.Mesh())}
 	w := a.newWalk(mesh.C(0, 0), mesh.C(11, 11), opt)
-	w.useUnsafeWall(a.envFor(mesh.C(0, 0), mesh.C(11, 11), RB1.Model(), true))
+	w.useUnsafeWall(a.envFor(mesh.C(0, 0), mesh.C(11, 11), RB1.Model()))
 	// Find a node that is unsafe (on the MCC wall) but not faulty: the
 	// downgrade must stop treating it as an obstacle.
 	var probe mesh.Coord
