@@ -41,7 +41,7 @@ BENCH_BASE ?= origin/main
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build vet fmt-check staticcheck govulncheck lint tools-ci test test-examples race bench-smoke sim-smoke bench-json bench-compare serve loadgen smoke fuzz-smoke recover-smoke chaos-smoke cluster-smoke metrics-smoke check
+.PHONY: all build vet fmt-check staticcheck govulncheck lint tools-ci test test-examples examples-smoke race bench-smoke sim-smoke bench-json bench-compare serve loadgen smoke fuzz-smoke recover-smoke chaos-smoke cluster-smoke metrics-smoke check
 
 all: check
 
@@ -112,6 +112,15 @@ test:
 # reference's runnable examples are tests, not prose.
 test-examples:
 	$(GO) test -run Example ./...
+
+# Runs every program under examples/ (each takes a few seconds at most):
+# test-examples covers only the godoc Examples, so without this an
+# example program that fails goes unnoticed.
+examples-smoke:
+	@for e in quickstart noc infocost bluegene; do \
+		echo "go run ./examples/$$e"; \
+		$(GO) run ./examples/$$e >/dev/null || exit 1; \
+	done
 
 # The race target runs the full suite (including the engine's concurrent
 # Route-during-Swap tests, the batch-cancellation tests, and the RB2-vs-BFS
@@ -445,4 +454,4 @@ recover-smoke:
 	kill -TERM $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; \
 	rm -rf $$tmp; exit $$status
 
-check: fmt-check vet build staticcheck lint test test-examples race bench-smoke sim-smoke fuzz-smoke govulncheck
+check: fmt-check vet build staticcheck lint test test-examples examples-smoke race bench-smoke sim-smoke fuzz-smoke govulncheck

@@ -6,8 +6,8 @@
 // regenerates the panels at the paper's full scale.
 //
 // Additional benchmarks cover the substrate hot paths (labeling, MCC
-// extraction, information propagation, single routings) and ablations of
-// two choices the paper leaves open (adaptive policy, border rule).
+// extraction, information propagation, single routings) and an ablation of
+// a choice the paper leaves open (the adaptive policy).
 package meshroute
 
 import (
@@ -143,7 +143,7 @@ func BenchmarkLabeling100x100(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		labeling.Compute(f, labeling.BorderSafe)
+		labeling.Compute(f)
 	}
 }
 
@@ -154,13 +154,13 @@ func BenchmarkDistributedLabeling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		labeling.ComputeDistributed(f, labeling.BorderSafe)
+		labeling.ComputeDistributed(f)
 	}
 }
 
 // BenchmarkMCCExtract measures component extraction and indexing.
 func BenchmarkMCCExtract(b *testing.B) {
-	g := labeling.Compute(benchFaults(1500), labeling.BorderSafe)
+	g := labeling.Compute(benchFaults(1500))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,7 +171,7 @@ func BenchmarkMCCExtract(b *testing.B) {
 // BenchmarkInfoB2 measures the most expensive information model (boundary
 // walks plus forbidden-region flood).
 func BenchmarkInfoB2(b *testing.B) {
-	set := mcc.Extract(labeling.Compute(benchFaults(1500), labeling.BorderSafe))
+	set := mcc.Extract(labeling.Compute(benchFaults(1500)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -213,7 +213,7 @@ func BenchmarkInfoRebuildB2(b *testing.B) {
 			delta[0][o][1] = append(delta[0][o][1], o.To(m, c))
 			delta[1][o][0] = append(delta[1][o][0], o.To(m, c))
 		}
-		grids[o] = labeling.Compute(f.Mirror(o), labeling.BorderSafe)
+		grids[o] = labeling.Compute(f.Mirror(o))
 		stores[o] = info.Build(info.B2, mcc.Extract(grids[o]))
 	}
 	b.ReportAllocs()
@@ -229,16 +229,16 @@ func BenchmarkInfoRebuildB2(b *testing.B) {
 }
 
 // BenchmarkRouteRB2 measures one full RB2 routing on a 100x100 mesh with
-// 1500 faults (analysis cached, as in a deployed system). The nil-scratch
-// path borrows from the internal pool per call.
+// 1500 faults (analysis cached, as in a deployed system). Each call
+// borrows a scratch from the engine's pool, as every served walk does.
 func BenchmarkRouteRB2(b *testing.B) {
 	benchEngine(b)
-	a := benchFix.eng.Snapshot().Analysis()
+	snap := benchFix.eng.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := benchFix.pairs[i%len(benchFix.pairs)]
-		routing.Route(a, routing.RB2, p.S, p.D, routing.Options{})
+		snap.Route(routing.RB2, p.S, p.D, routing.Options{})
 	}
 }
 
@@ -349,7 +349,7 @@ func BenchmarkRouteBatchOracleUncachedRB2(b *testing.B) {
 	}
 }
 
-// --- ablation benchmarks (choices the paper leaves open) ---
+// --- ablation benchmark (a choice the paper leaves open) ---
 
 // BenchmarkAblationPolicies compares adaptive selectors on the Figure 5(d)
 // success metric. Measured: diagonal balancing far outperforms the extreme
@@ -366,24 +366,6 @@ func BenchmarkAblationPolicies(b *testing.B) {
 				routed, _ = eval.Routing(context.Background(), cfg)
 			}
 			b.ReportMetric(lastAvg(routed.Fig5d(), 1, 240), "RB2%")
-		})
-	}
-}
-
-// BenchmarkAblationBorderPolicy compares the labeling border rules: the
-// conservative border-faulty rule disables the whole mesh (see labeling
-// docs), which is why border-safe is the default.
-func BenchmarkAblationBorderPolicy(b *testing.B) {
-	for _, pol := range []labeling.BorderPolicy{labeling.BorderSafe, labeling.BorderFaulty} {
-		b.Run(pol.String(), func(b *testing.B) {
-			cfg := quickCfg()
-			cfg.FaultCounts = []int{240}
-			cfg.Border = pol
-			var tbl *stats.Table
-			for i := 0; i < b.N; i++ {
-				tbl, _ = eval.Fig5a(context.Background(), cfg)
-			}
-			b.ReportMetric(lastAvg(tbl, 1, 240), "disabled%")
 		})
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
+	"repro/internal/info"
 )
 
 // taxonomyNet is a 6x6 mesh with a faulty node at (2,2) and the corner
@@ -147,6 +150,23 @@ func TestErrorAborted(t *testing.T) {
 // TestErrorCanceledWrapsContextCause locks the double contract of
 // ErrCanceled: the returned error matches both the package sentinel and
 // the stdlib context error.
+// TestErrorAbortedExcludedModel routes RB1 on a network whose engine
+// built only B2: the walk cannot start and surfaces as *ErrAborted.
+func TestErrorAbortedExcludedModel(t *testing.T) {
+	net := NewWithEngineOptions(6, 6, engine.Options{Models: []info.Model{info.B2}})
+	_, err := net.Route(context.Background(), RouteRequest{Src: C(0, 0), Dst: C(5, 5)}, WithAlgorithm(RB1))
+	var abort *ErrAborted
+	if !errors.As(err, &abort) {
+		t.Fatalf("RB1 on a B2-only network: err = %v, want *ErrAborted", err)
+	}
+	if abort.Algorithm != RB1 || abort.Hops != 0 {
+		t.Errorf("abort metadata wrong: %+v", abort)
+	}
+	if _, err := net.Route(context.Background(), RouteRequest{Src: C(0, 0), Dst: C(5, 5)}); err != nil {
+		t.Errorf("RB2 on a B2-only network: %v", err)
+	}
+}
+
 func TestErrorCanceledWrapsContextCause(t *testing.T) {
 	net := taxonomyNet(t)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -11,8 +11,8 @@
 // exploits that with a snapshot architecture:
 //
 //   - A Snapshot bundles one fault configuration with its fully
-//     precomputed routing.Analysis (see Analysis.Precompute). Snapshots are
-//     immutable; readers never lock.
+//     precomputed routing.Analysis (see routing.NewAnalysis). Snapshots
+//     are immutable; readers never lock.
 //   - Router holds the current Snapshot behind an atomic.Pointer. A caller
 //     loads it once with Router.Snapshot and serves every query of one
 //     request from it (Snapshot.Route, RouteCtx, BatchStream, MapBatch),
@@ -97,7 +97,7 @@ type Snapshot struct {
 // models unless opts.Models narrows them).
 func NewSnapshot(f *fault.Set, opts Options) *Snapshot {
 	frozen := f.Clone()
-	a := routing.NewAnalysis(frozen).Precompute(opts.Models...)
+	a := routing.NewAnalysis(frozen, opts.Models...)
 	return &Snapshot{
 		faults:   frozen,
 		analysis: a,
@@ -150,7 +150,8 @@ type Options struct {
 	// Models narrows which information models every snapshot precomputes.
 	// Empty means all three (B1, B2, B3); a router serving only RB2 can
 	// pass []info.Model{info.B2} to cut the per-publication rebuild cost.
-	// Routing an algorithm whose model was excluded is not safe.
+	// A walk of an algorithm whose model was excluded does not start: it
+	// comes back undelivered with an Abort naming the missing model.
 	Models []info.Model
 	// Metrics, when non-nil, observes every routed walk (Snapshot.Route,
 	// RouteCtx and each batch item) on every snapshot the router
@@ -266,7 +267,7 @@ func (r *Router) buildSnapshotLocked(f *fault.Set) *Snapshot {
 	}
 	s.oracle, _ = prev.oracle.Rebase(frozen, adds, repairs)
 	if fullRebuildFactor*(len(adds)+len(repairs)) >= frozen.Mesh().Nodes() {
-		s.analysis = routing.NewAnalysis(frozen).Precompute(r.opts.Models...)
+		s.analysis = routing.NewAnalysis(frozen, r.opts.Models...)
 		r.fullBuilds.Add(1)
 		return s
 	}

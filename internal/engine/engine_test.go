@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/info"
 	"repro/internal/mesh"
 	"repro/internal/routing"
 	"repro/internal/spath"
@@ -57,7 +59,7 @@ func collect(t testing.TB, snap *Snapshot, pairs []Pair, workers int) []BatchIte
 func TestRouteMatchesDirectRouting(t *testing.T) {
 	f := testFaults(t, 24, 60, 1)
 	snap := New(f, Options{}).Snapshot()
-	a := routing.NewAnalysis(f.Clone()).Precompute()
+	a := routing.NewAnalysis(f.Clone())
 	for _, p := range usablePairs(f, 32, 7) {
 		for _, al := range []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3} {
 			got, err := snap.Route(al, p.S, p.D, routing.Options{})
@@ -82,6 +84,61 @@ func TestRouteRejectsBadEndpoints(t *testing.T) {
 	}
 	if _, err := snap.Route(routing.RB2, mesh.C(0, 0), mesh.C(9, 9), routing.Options{}); err == nil {
 		t.Error("outside destination accepted")
+	}
+}
+
+// TestExcludedModelAborts routes RB1 and RB3 on a router built with B2
+// only, from several goroutines at once. Each walk must come back
+// undelivered with an Abort naming its missing model, without building
+// that model's store on the shared snapshot, while RB2 routes exactly as
+// on a router with every model.
+func TestExcludedModelAborts(t *testing.T) {
+	f := testFaults(t, 24, 60, 1)
+	snap := New(f, Options{Models: []info.Model{info.B2}}).Snapshot()
+	full := New(f, Options{}).Snapshot()
+	pairs := usablePairs(f, 16, 7)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range pairs {
+				for _, al := range []routing.Algo{routing.RB1, routing.RB3} {
+					res, err := snap.Route(al, p.S, p.D, routing.Options{})
+					if err != nil || res.Delivered || !strings.Contains(res.Abort, al.Model().String()) {
+						errs <- fmt.Errorf("%v %v->%v on a B2-only router: delivered=%v abort=%q err=%v, want an abort naming %v",
+							al, p.S, p.D, res.Delivered, res.Abort, err, al.Model())
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, mod := range []info.Model{info.B1, info.B3} {
+		if snap.Analysis().Store(mod, mesh.NE) != nil {
+			t.Errorf("routing built the excluded %v store", mod)
+		}
+	}
+	delivered := 0
+	for _, p := range pairs {
+		got, err := snap.Route(routing.RB2, p.S, p.D, routing.Options{})
+		want, _ := full.Route(routing.RB2, p.S, p.D, routing.Options{})
+		if err != nil || got.Delivered != want.Delivered || got.Hops != want.Hops {
+			t.Fatalf("RB2 %v->%v: B2-only router (%v,%d,%v) != full router (%v,%d)",
+				p.S, p.D, got.Delivered, got.Hops, err, want.Delivered, want.Hops)
+		}
+		if got.Delivered {
+			delivered++
+		}
+	}
+	if delivered == 0 {
+		t.Error("RB2 delivered no pair on the B2-only router")
 	}
 }
 
@@ -148,9 +205,9 @@ func TestUpdateIsReadCopyUpdate(t *testing.T) {
 // TestConcurrentRouteDuringSwap hammers Snapshot().Route from many
 // goroutines while a writer continuously swaps fault configurations in
 // and out. Under -race this fails if snapshotting is wrong anywhere (torn
-// analysis, shared walk state, lazy cache fills after publication). Each
-// delivered result must also be internally consistent with the *snapshot
-// version* that served it, proving queries never mix two configurations.
+// analysis, shared walk state). Each delivered result must also be
+// internally consistent with the *snapshot version* that served it,
+// proving queries never mix two configurations.
 func TestConcurrentRouteDuringSwap(t *testing.T) {
 	readers, queries, swaps := 8, 300, 30
 	if testing.Short() {

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/info"
 	"repro/internal/labeling"
@@ -56,15 +57,13 @@ type Config struct {
 	Gen fault.Generator
 	// Policy is the adaptive selector for the routing algorithms.
 	Policy routing.Policy
-	// Border selects the labeling border policy (ablation; default safe).
-	Border labeling.BorderPolicy
 	// Workers bounds the goroutines sweeping trials; <= 0 means
 	// GOMAXPROCS, and larger values are capped at GOMAXPROCS: each
-	// in-flight trial holds its own analysis, oracle and scratch, so a
-	// worker beyond the cores adds memory, never speed. Tables are
-	// byte-identical for every worker count: each (sweep point, trial)
-	// draws from its own seed-derived RNG and the emitted samples are
-	// merged back in serial order.
+	// in-flight trial holds its own engine snapshot, so a worker beyond
+	// the cores adds memory, never speed. Tables are byte-identical for
+	// every worker count: each (sweep point, trial) draws from its own
+	// seed-derived RNG and the emitted samples are merged back in serial
+	// order.
 	Workers int
 }
 
@@ -193,7 +192,7 @@ func Fig5a(ctx context.Context, cfg Config) (*stats.Table, error) {
 	m := mesh.Square(cfg.MeshSize)
 	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
 		f, _ := cfg.connectedSet(m, n, trial)
-		g := labeling.Compute(f, cfg.Border)
+		g := labeling.Compute(f)
 		emit(series, 100*float64(g.UnsafeCount())/float64(m.Nodes()))
 	})
 	return maxAvg(series), err
@@ -205,7 +204,7 @@ func Fig5b(ctx context.Context, cfg Config) (*stats.Table, error) {
 	m := mesh.Square(cfg.MeshSize)
 	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
 		f, _ := cfg.connectedSet(m, n, trial)
-		set := mcc.Extract(labeling.Compute(f, cfg.Border))
+		set := mcc.Extract(labeling.Compute(f))
 		emit(series, float64(set.Len()))
 	})
 	return maxAvg(series), err
@@ -223,7 +222,7 @@ func Fig5c(ctx context.Context, cfg Config) (*stats.Table, error) {
 	m := mesh.Square(cfg.MeshSize)
 	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
 		f, _ := cfg.connectedSet(m, n, trial)
-		g := labeling.Compute(f, cfg.Border)
+		g := labeling.Compute(f)
 		if g.SafeCount() == 0 {
 			return
 		}
@@ -238,14 +237,13 @@ func Fig5c(ctx context.Context, cfg Config) (*stats.Table, error) {
 
 // pairSampler draws random pairs matching the paper's setup: both
 // endpoints safe (in the travel orientation), destination reachable.
-// Ground-truth distances come from the trial's per-source BFS cache, so
-// rejected draws and the final measurement share fields whenever
-// endpoints repeat within a trial.
+// Ground-truth distances come from the trial snapshot's per-source BFS
+// cache, so rejected draws and the final measurement share fields
+// whenever endpoints repeat within a trial.
 type pairSampler struct {
-	m      mesh.Mesh
-	a      *routing.Analysis
-	r      *rand.Rand
-	oracle *spath.Oracle
+	m    mesh.Mesh
+	snap *engine.Snapshot
+	r    *rand.Rand
 }
 
 func (p pairSampler) draw() (s, d mesh.Coord, optimal int32, ok bool) {
@@ -256,11 +254,11 @@ func (p pairSampler) draw() (s, d mesh.Coord, optimal int32, ok bool) {
 			continue
 		}
 		o := mesh.OrientFor(s, d)
-		g := p.a.Grid(o)
+		g := p.snap.Analysis().Grid(o)
 		if !g.Safe(o.To(p.m, s)) || !g.Safe(o.To(p.m, d)) {
 			continue
 		}
-		optimal = p.oracle.Dist(s, d)
+		optimal = p.snap.Oracle().Dist(s, d)
 		if optimal >= spath.Infinite {
 			continue
 		}
@@ -292,11 +290,11 @@ type Routed struct {
 }
 
 // Routing runs the routed sweep behind Figures 5(d) and 5(e) and the
-// delivery table. Each trial draws a fault set, samples Config.Pairs
-// pairs with pairSampler, and routes every pair under all four
-// algorithms. Trials run in parallel (Config.Workers); each builds its own
-// analysis, oracle and RNG, so no routing state is shared across
-// goroutines.
+// delivery table. Each trial draws a fault set, builds one engine
+// snapshot of it, samples Config.Pairs pairs with pairSampler, and routes
+// every pair under all four algorithms with Snapshot.Route. Trials run in
+// parallel (Config.Workers); each owns its snapshot and RNG, so no
+// routing state is shared across goroutines.
 func Routing(ctx context.Context, cfg Config) (*Routed, error) {
 	out := &Routed{}
 	for _, al := range []routing.Algo{routing.Ecube, routing.RB1, routing.RB2, routing.RB3} {
@@ -308,20 +306,11 @@ func Routing(ctx context.Context, cfg Config) (*Routed, error) {
 		})
 	}
 	m := mesh.Square(cfg.MeshSize)
-	// Walk scratches are pooled across trials: worker goroutines come and
-	// go with the sweep, but the buffers (sized by the mesh) survive.
-	var scratches sync.Pool
+	opt := routing.Options{Policy: cfg.Policy}
 	err := cfg.sweep(ctx, func(n, trial int, emit func(*stats.Series, float64)) {
 		f, r := cfg.connectedSet(m, n, trial)
-		a := routing.NewAnalysisWithPolicy(f, cfg.Border)
-		opt := routing.Options{Policy: cfg.Policy}
-		if sc, ok := scratches.Get().(*routing.Scratch); ok {
-			opt.Scratch = sc
-		} else {
-			opt.Scratch = routing.NewScratch(m)
-		}
-		defer scratches.Put(opt.Scratch)
-		sampler := pairSampler{m: m, a: a, r: r, oracle: spath.NewOracle(f, 0)}
+		snap := engine.NewSnapshot(f, engine.Options{})
+		sampler := pairSampler{m: m, snap: snap, r: r}
 		for i := 0; i < cfg.Pairs; i++ {
 			if ctx.Err() != nil {
 				return // canceled mid-trial: stop between pairs
@@ -331,7 +320,9 @@ func Routing(ctx context.Context, cfg Config) (*Routed, error) {
 				break
 			}
 			for _, o := range out.Algos {
-				res := routing.Route(a, o.Algo, s, d, opt)
+				// The sampler only draws healthy in-mesh endpoints, so
+				// Route cannot fail.
+				res, _ := snap.Route(o.Algo, s, d, opt)
 				if !res.Delivered {
 					// No length to compare: counts against the success
 					// and delivery rates only.

@@ -25,7 +25,7 @@ func TestStoreInvariantsAcrossDensities(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			m := mesh.Square(30)
 			n := int(density * float64(m.Nodes()))
-			g := labeling.Compute(fault.Uniform{}.Generate(m, n, r), labeling.BorderSafe)
+			g := labeling.Compute(fault.Uniform{}.Generate(m, n, r))
 			set := mcc.Extract(g)
 			if err := set.Validate(); err != nil {
 				t.Fatal(err)
@@ -81,7 +81,7 @@ func TestB2InformsForbiddenRegions(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 8; trial++ {
 		m := mesh.Square(22)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, 25, r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, 25, r))
 		set := mcc.Extract(g)
 		s := Build(B2, set)
 		for _, f := range set.All() {

@@ -155,7 +155,7 @@ func TestGoldenStoreDigests(t *testing.T) {
 					t.Errorf("%s: digest %s, want %s", k, got, want)
 				}
 			}
-			grid := labeling.Compute(base.Mirror(o), labeling.BorderSafe)
+			grid := labeling.Compute(base.Mirror(o))
 			st := Build(model, mcc.Extract(grid))
 			check("build", st)
 			for k := range adds {
@@ -163,7 +163,7 @@ func TestGoldenStoreDigests(t *testing.T) {
 			}
 			check("churn", st)
 
-			empty := labeling.Compute(fault.NewSet(m), labeling.BorderSafe)
+			empty := labeling.Compute(fault.NewSet(m))
 			st, _ = rebuildStep(Build(model, mcc.Extract(empty)), empty, orient(m, o, base.Coords()), nil)
 			check("setup", st)
 		}

@@ -12,7 +12,7 @@ import (
 
 func build(t *testing.T, model Model, m mesh.Mesh, faults ...mesh.Coord) (*Store, *mcc.Set) {
 	t.Helper()
-	g := labeling.Compute(fault.FromCoords(m, faults...), labeling.BorderSafe)
+	g := labeling.Compute(fault.FromCoords(m, faults...))
 	set := mcc.Extract(g)
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
@@ -26,7 +26,7 @@ func TestContoursAreWalkable(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 30; trial++ {
 		m := mesh.Square(20)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, 5+r.Intn(40), r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, 5+r.Intn(40), r))
 		set := mcc.Extract(g)
 		for _, f := range set.All() {
 			for _, a := range mcc.Axes {
@@ -241,7 +241,7 @@ func TestParticipantsOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 15; trial++ {
 		m := mesh.Square(30)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, 20+r.Intn(80), r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, 20+r.Intn(80), r))
 		set := mcc.Extract(g)
 		b1 := Build(B1, set)
 		b2 := Build(B2, set)
@@ -269,7 +269,7 @@ func TestParticipantsOrdering(t *testing.T) {
 func TestDepositsOnlyOnSafeNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	m := mesh.Square(25)
-	g := labeling.Compute(fault.Uniform{}.Generate(m, 90, r), labeling.BorderSafe)
+	g := labeling.Compute(fault.Uniform{}.Generate(m, 90, r))
 	set := mcc.Extract(g)
 	for _, model := range []Model{B1, B2, B3} {
 		s := Build(model, set)

@@ -55,54 +55,52 @@ func storesEqual(t *testing.T, got, want *Store) {
 // TestRebuildMatchesBuild drives random fault deltas through the full
 // incremental chain (labeling.Update -> mcc.UpdateSet -> Rebuild) and
 // checks the rebuilt store is identical to a from-scratch Build at every
-// step, for all three models and both border policies. The last trials
-// are dense (24x24 at 15-25% faults), so floods cross joined regions and
-// a delta replays some components while re-walking their neighbors.
+// step, for all three models. The last trials are dense (24x24 at 15-25%
+// faults), so floods cross joined regions and a delta replays some
+// components while re-walking their neighbors.
 func TestRebuildMatchesBuild(t *testing.T) {
 	for _, model := range []Model{B1, B2, B3} {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
-			for _, policy := range []labeling.BorderPolicy{labeling.BorderSafe, labeling.BorderFaulty} {
-				rng := rand.New(rand.NewSource(0xb0b + int64(model)))
-				for trial := 0; trial < 15; trial++ {
-					w, h := 5+rng.Intn(14), 5+rng.Intn(14)
-					faults := rng.Intn(6)
-					if trial >= 12 {
-						w, h = 24, 24
-						faults = w * h * (15 + rng.Intn(11)) / 100
-					}
-					m := mesh.New(w, h)
-					f := fault.NewSet(m)
-					for n := faults; n > 0; n-- {
-						f.Add(mesh.C(rng.Intn(w), rng.Intn(h)))
-					}
-					grid := labeling.Compute(f, policy)
-					set := mcc.Extract(grid)
-					store := Build(model, set)
-					for step := 0; step < 8; step++ {
-						var adds, repairs []mesh.Coord
-						seen := map[mesh.Coord]bool{}
-						for n := 1 + rng.Intn(4); n > 0; n-- {
-							c := mesh.C(rng.Intn(w), rng.Intn(h))
-							if seen[c] {
-								continue
-							}
-							seen[c] = true
-							if f.Faulty(c) {
-								f.Remove(c)
-								repairs = append(repairs, c)
-							} else {
-								f.Add(c)
-								adds = append(adds, c)
-							}
+			rng := rand.New(rand.NewSource(0xb0b + int64(model)))
+			for trial := 0; trial < 15; trial++ {
+				w, h := 5+rng.Intn(14), 5+rng.Intn(14)
+				faults := rng.Intn(6)
+				if trial >= 12 {
+					w, h = 24, 24
+					faults = w * h * (15 + rng.Intn(11)) / 100
+				}
+				m := mesh.New(w, h)
+				f := fault.NewSet(m)
+				for n := faults; n > 0; n-- {
+					f.Add(mesh.C(rng.Intn(w), rng.Intn(h)))
+				}
+				grid := labeling.Compute(f)
+				set := mcc.Extract(grid)
+				store := Build(model, set)
+				for step := 0; step < 8; step++ {
+					var adds, repairs []mesh.Coord
+					seen := map[mesh.Coord]bool{}
+					for n := 1 + rng.Intn(4); n > 0; n-- {
+						c := mesh.C(rng.Intn(w), rng.Intn(h))
+						if seen[c] {
+							continue
 						}
-						res := labeling.Update(grid, adds, repairs)
-						grid = res.Grid
-						var carried map[*mcc.MCC]*mcc.MCC
-						set, carried = mcc.UpdateSet(set, grid, res.UnsafeFlipped)
-						store = Rebuild(store, set, carried, res.UnsafeFlipped)
-						storesEqual(t, store, Build(model, set))
+						seen[c] = true
+						if f.Faulty(c) {
+							f.Remove(c)
+							repairs = append(repairs, c)
+						} else {
+							f.Add(c)
+							adds = append(adds, c)
+						}
 					}
+					res := labeling.Update(grid, adds, repairs)
+					grid = res.Grid
+					var carried map[*mcc.MCC]*mcc.MCC
+					set, carried = mcc.UpdateSet(set, grid, res.UnsafeFlipped)
+					store = Rebuild(store, set, carried, res.UnsafeFlipped)
+					storesEqual(t, store, Build(model, set))
 				}
 			}
 		})
@@ -115,7 +113,7 @@ func TestRebuildSharesLogs(t *testing.T) {
 	m := mesh.New(30, 30)
 	f := fault.NewSet(m)
 	f.Add(mesh.C(25, 25)) // walks run south/west: keep the other fault north-east
-	grid := labeling.Compute(f, labeling.BorderSafe)
+	grid := labeling.Compute(f)
 	set := mcc.Extract(grid)
 	store := Build(B2, set)
 

@@ -28,8 +28,8 @@ func TestTranspositionSymmetry(t *testing.T) {
 		for i, c := range cs {
 			cs[i] = mesh.C(c.Y, c.X)
 		}
-		set := mcc.Extract(labeling.Compute(f, labeling.BorderSafe))
-		setT := mcc.Extract(labeling.Compute(fault.FromCoords(mesh.New(h, w), cs...), labeling.BorderSafe))
+		set := mcc.Extract(labeling.Compute(f))
+		setT := mcc.Extract(labeling.Compute(fault.FromCoords(mesh.New(h, w), cs...)))
 
 		// tr[id] is the ID of the component of f^T whose cells are the
 		// transposed cells of component id.

@@ -28,22 +28,16 @@ type distState struct {
 // pair of monotone closures — and the equality is enforced by tests, which
 // is the evidence that the paper's "fully distributed process" and our
 // centralized geometry agree.
-func ComputeDistributed(f *fault.Set, policy BorderPolicy) (*Grid, *simnet.Network) {
+func ComputeDistributed(f *fault.Set) (*Grid, *simnet.Network) {
 	m := f.Mesh()
-	g := &Grid{m: m, label: make([]flags, m.Nodes()), policy: policy}
+	g := &Grid{m: m, label: make([]flags, m.Nodes())}
+	// Every neighbor view starts safe: a missing border neighbor stays safe
+	// for good (as in Compute), and a real one is assumed safe until
+	// announced otherwise — the rules are monotone, so assuming safe can
+	// only delay a label, never produce a wrong one.
 	states := make([]distState, m.Nodes())
-	for idx := range states {
-		c := m.CoordOf(idx)
-		for _, d := range mesh.Directions {
-			if !m.In(c.Step(d)) {
-				// Virtual border neighbors permanently hold the policy value.
-				// Real neighbors are assumed safe until announced otherwise:
-				// the rules are monotone, so assuming safe can only delay a
-				// label, never produce a wrong one.
-				states[idx].neighbor[d] = policy.borderFlags()
-			}
-		}
-		if f.Faulty(c) {
+	for idx := range g.label {
+		if f.Faulty(m.CoordOf(idx)) {
 			g.label[idx] = fFaulty
 			g.unsafe++
 		}
@@ -104,12 +98,10 @@ func ComputeDistributed(f *fault.Set, policy BorderPolicy) (*Grid, *simnet.Netwo
 	m.EachNode(func(c mesh.Coord) { net.Post(c, flagsMsg{}) })
 	// Label chains are at most W+H long and each link carries O(1) distinct
 	// flag values, so this bound is generous.
-	rounds, quiesced := net.Run(8 * (m.Width() + m.Height() + 2))
-	if !quiesced {
+	if _, quiesced := net.Run(8 * (m.Width() + m.Height() + 2)); !quiesced {
 		// Unreachable for monotone rules; fall back to the central engine so
 		// production callers never observe a half-labeled grid.
-		return Compute(f, policy), net
+		return Compute(f), net
 	}
-	g.rounds = rounds
 	return g, net
 }

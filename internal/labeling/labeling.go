@@ -109,68 +109,20 @@ func (f flags) status() Status {
 	return Safe
 }
 
-// BorderPolicy selects how the labeling rules treat the missing neighbors
-// of mesh-border nodes. The paper never says; the constants give the
-// reason for the BorderSafe default, and BenchmarkAblationBorderPolicy
-// compares the two.
-type BorderPolicy uint8
-
-const (
-	// BorderSafe treats a missing neighbor as safe: labels never propagate
-	// from the mesh border. This is the default and the policy under which
-	// the destination corner of the mesh remains routable, consistent with
-	// the MCC minimality argument.
-	BorderSafe BorderPolicy = iota
-	// BorderFaulty treats a missing neighbor as faulty, the conservative
-	// convention of some rectangular-block papers. Under this policy the
-	// extreme mesh corners label themselves useless/can't-reach even in a
-	// fault-free mesh, so it is offered only for the ablation study.
-	BorderFaulty
-)
-
-// String names the policy.
-func (p BorderPolicy) String() string {
-	if p == BorderFaulty {
-		return "border-faulty"
-	}
-	return "border-safe"
-}
-
-func (p BorderPolicy) borderFlags() flags {
-	if p == BorderFaulty {
-		return fFaulty
-	}
-	return 0
-}
-
 // Grid holds the converged labeling of every node of a mesh for the
 // canonical +X/+Y orientation.
 type Grid struct {
 	m      mesh.Mesh
 	label  []flags
 	unsafe int
-	policy BorderPolicy
-	rounds int
 }
 
 // Mesh returns the labeled mesh.
 func (g *Grid) Mesh() mesh.Mesh { return g.m }
 
-// Policy returns the border policy the grid was computed under.
-func (g *Grid) Policy() BorderPolicy { return g.policy }
-
-// Rounds returns how many sweeps (central) or synchronous message rounds
-// (distributed) the engine needed to converge.
-func (g *Grid) Rounds() int { return g.rounds }
-
-// flagsAt returns the flag set of c; out-of-mesh coordinates report the
-// policy's virtual border flags so geometric code can query uniformly.
-func (g *Grid) flagsAt(c mesh.Coord) flags {
-	if !g.m.In(c) {
-		return g.policy.borderFlags()
-	}
-	return g.label[g.m.Index(c)]
-}
+// flagsAt returns the flag set of c; out-of-mesh coordinates read safe
+// (see flagsAtRaw) so geometric code can query uniformly.
+func (g *Grid) flagsAt(c mesh.Coord) flags { return flagsAtRaw(g.m, g.label, c) }
 
 // Status returns the displayed label of c.
 func (g *Grid) Status(c mesh.Coord) Status { return g.flagsAt(c).status() }
@@ -184,7 +136,7 @@ func (g *Grid) IsUseless(c mesh.Coord) bool { return g.flagsAt(c)&fUseless != 0 
 func (g *Grid) IsCantReach(c mesh.Coord) bool { return g.flagsAt(c)&fCantReach != 0 }
 
 // Unsafe reports whether c is labeled faulty, useless, or can't-reach.
-// Out-of-mesh coordinates follow the border policy.
+// Out-of-mesh coordinates read safe.
 func (g *Grid) Unsafe(c mesh.Coord) bool { return g.flagsAt(c).unsafe() }
 
 // Safe reports whether c is inside the mesh and labeled safe.
@@ -199,21 +151,29 @@ func (g *Grid) SafeCount() int { return g.m.Nodes() - g.unsafe }
 
 // uselessRule reports whether a node at c currently satisfies the useless
 // rule: +X neighbor and +Y neighbor faulty or useless.
-func uselessRule(m mesh.Mesh, label []flags, policy BorderPolicy, c mesh.Coord) bool {
-	return flagsAtRaw(m, label, policy, c.Step(mesh.PlusX)).uselessFuel() &&
-		flagsAtRaw(m, label, policy, c.Step(mesh.PlusY)).uselessFuel()
+func uselessRule(m mesh.Mesh, label []flags, c mesh.Coord) bool {
+	return flagsAtRaw(m, label, c.Step(mesh.PlusX)).uselessFuel() &&
+		flagsAtRaw(m, label, c.Step(mesh.PlusY)).uselessFuel()
 }
 
 // cantReachRule reports whether a node at c currently satisfies the
 // can't-reach rule: -X neighbor and -Y neighbor faulty or can't-reach.
-func cantReachRule(m mesh.Mesh, label []flags, policy BorderPolicy, c mesh.Coord) bool {
-	return flagsAtRaw(m, label, policy, c.Step(mesh.MinusX)).cantReachFuel() &&
-		flagsAtRaw(m, label, policy, c.Step(mesh.MinusY)).cantReachFuel()
+func cantReachRule(m mesh.Mesh, label []flags, c mesh.Coord) bool {
+	return flagsAtRaw(m, label, c.Step(mesh.MinusX)).cantReachFuel() &&
+		flagsAtRaw(m, label, c.Step(mesh.MinusY)).cantReachFuel()
 }
 
-func flagsAtRaw(m mesh.Mesh, label []flags, policy BorderPolicy, c mesh.Coord) flags {
+// flagsAtRaw returns the flag set of c. The paper never says how the rules
+// treat the missing neighbors of mesh-border nodes; here a missing
+// neighbor reads safe, so labels never propagate from the mesh border and
+// the destination corner of the mesh stays routable, consistent with the
+// MCC minimality argument. Reading it as faulty, the convention of some
+// rectangular-block papers, would label the extreme corners useless and
+// can't-reach even in a fault-free mesh, and the labels would cascade over
+// the whole mesh.
+func flagsAtRaw(m mesh.Mesh, label []flags, c mesh.Coord) flags {
 	if !m.In(c) {
-		return policy.borderFlags()
+		return 0
 	}
 	return label[m.Index(c)]
 }
@@ -223,9 +183,9 @@ func flagsAtRaw(m mesh.Mesh, label []flags, policy BorderPolicy, c mesh.Coord) f
 // affected nodes update their status". The two label closures are monotone,
 // so the result is schedule-independent; the distributed engine's equality
 // test exercises exactly that.
-func Compute(f *fault.Set, policy BorderPolicy) *Grid {
+func Compute(f *fault.Set) *Grid {
 	m := f.Mesh()
-	g := &Grid{m: m, label: make([]flags, m.Nodes()), policy: policy}
+	g := &Grid{m: m, label: make([]flags, m.Nodes())}
 	for idx := range g.label {
 		if f.Faulty(m.CoordOf(idx)) {
 			g.label[idx] = fFaulty
@@ -242,9 +202,7 @@ func Compute(f *fault.Set, policy BorderPolicy) *Grid {
 		}
 	}
 
-	sweeps := 0
 	for len(work) > 0 {
-		sweeps++
 		next := work[:0:0]
 		for _, idx := range work {
 			inWork[idx] = false
@@ -256,10 +214,10 @@ func Compute(f *fault.Set, policy BorderPolicy) *Grid {
 			}
 			c := m.CoordOf(idx)
 			add := flags(0)
-			if fl&fUseless == 0 && uselessRule(m, g.label, policy, c) {
+			if fl&fUseless == 0 && uselessRule(m, g.label, c) {
 				add |= fUseless
 			}
-			if fl&fCantReach == 0 && cantReachRule(m, g.label, policy, c) {
+			if fl&fCantReach == 0 && cantReachRule(m, g.label, c) {
 				add |= fCantReach
 			}
 			if add == 0 {
@@ -281,7 +239,6 @@ func Compute(f *fault.Set, policy BorderPolicy) *Grid {
 		}
 		work = next
 	}
-	g.rounds = sweeps
 	return g
 }
 
@@ -312,10 +269,10 @@ func (g *Grid) Fixpoint() bool {
 		if fl&fFaulty != 0 {
 			return
 		}
-		if fl&fUseless == 0 && uselessRule(g.m, g.label, g.policy, c) {
+		if fl&fUseless == 0 && uselessRule(g.m, g.label, c) {
 			ok = false
 		}
-		if fl&fCantReach == 0 && cantReachRule(g.m, g.label, g.policy, c) {
+		if fl&fCantReach == 0 && cantReachRule(g.m, g.label, c) {
 			ok = false
 		}
 	})

@@ -10,7 +10,7 @@ import (
 
 func grid(t *testing.T, m mesh.Mesh, faults ...mesh.Coord) *Grid {
 	t.Helper()
-	return Compute(fault.FromCoords(m, faults...), BorderSafe)
+	return Compute(fault.FromCoords(m, faults...))
 }
 
 func TestNoFaultsAllSafe(t *testing.T) {
@@ -88,43 +88,38 @@ func TestBorderSafeKeepsCornersRoutable(t *testing.T) {
 	g := grid(t, mesh.Square(8))
 	for _, c := range []mesh.Coord{mesh.C(7, 7), mesh.C(0, 0), mesh.C(0, 7), mesh.C(7, 0)} {
 		if g.Status(c) != Safe {
-			t.Errorf("corner %v = %v under BorderSafe, want safe", c, g.Status(c))
+			t.Errorf("corner %v = %v, want safe", c, g.Status(c))
 		}
 	}
 }
 
-func TestBorderFaultyLabelsCorners(t *testing.T) {
-	g := Compute(fault.NewSet(mesh.Square(8)), BorderFaulty)
-	// (7,7): +X and +Y neighbors are virtual faulty -> useless, and the
-	// label cascades over the whole mesh (each node's +X/+Y neighbors become
-	// useless in turn); symmetrically can't-reach cascades from (0,0). This
-	// degeneracy is why BorderFaulty exists only for the ablation study.
-	if !g.IsUseless(mesh.C(7, 7)) {
-		t.Errorf("NE corner not useless under BorderFaulty")
+// A node whose four neighbors are faulty satisfies both rules: it holds
+// both labels and displays as useless per Status precedence.
+func TestDualLabelDisplaysUseless(t *testing.T) {
+	c := mesh.C(3, 3)
+	g := grid(t, mesh.Square(8), mesh.C(4, 3), mesh.C(3, 4), mesh.C(2, 3), mesh.C(3, 2))
+	if !g.IsUseless(c) || !g.IsCantReach(c) {
+		t.Fatalf("%v: useless=%v can't-reach=%v, want both", c, g.IsUseless(c), g.IsCantReach(c))
 	}
-	if !g.IsCantReach(mesh.C(0, 0)) {
-		t.Errorf("SW corner not can't-reach under BorderFaulty")
+	if g.Status(c) != Useless {
+		t.Errorf("%v = %v, want useless display", c, g.Status(c))
 	}
-	if g.SafeCount() != 0 {
-		t.Errorf("BorderFaulty on fault-free mesh: %d safe nodes, want 0 (full cascade)", g.SafeCount())
-	}
-	// Dual-labeled nodes display as useless per Status precedence.
-	if g.Status(mesh.C(3, 3)) != Useless {
-		t.Errorf("interior = %v, want useless display", g.Status(mesh.C(3, 3)))
+	// (2,2) turns useless and (4,4) can't-reach; the dual-labeled node
+	// counts once, as useless.
+	if _, faulty, useless, cr := g.Counts(); faulty != 4 || useless != 2 || cr != 1 {
+		t.Errorf("Counts faulty/useless/can't-reach = %d/%d/%d, want 4/2/1", faulty, useless, cr)
 	}
 }
 
+// Coordinates outside the mesh read safe under the border rule, but are
+// never Safe() because they are not in the mesh.
 func TestStatusOutsideMeshFollowsPolicy(t *testing.T) {
-	gSafe := Compute(fault.NewSet(mesh.Square(4)), BorderSafe)
-	if gSafe.Status(mesh.C(-1, 0)) != Safe {
-		t.Error("BorderSafe outside status must be safe")
+	g := grid(t, mesh.Square(4))
+	if g.Status(mesh.C(-1, 0)) != Safe || g.Unsafe(mesh.C(4, 0)) {
+		t.Error("outside status must be safe")
 	}
-	if gSafe.Safe(mesh.C(-1, 0)) {
+	if g.Safe(mesh.C(-1, 0)) {
 		t.Error("outside coordinates are never Safe() (not in mesh)")
-	}
-	gF := Compute(fault.NewSet(mesh.Square(4)), BorderFaulty)
-	if gF.Status(mesh.C(4, 0)) != Faulty {
-		t.Error("BorderFaulty outside status must be faulty")
 	}
 }
 
@@ -133,16 +128,14 @@ func TestFixpointInvariantRandom(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		m := mesh.Square(20)
 		f := fault.Uniform{}.Generate(m, r.Intn(150), r)
-		for _, pol := range []BorderPolicy{BorderSafe, BorderFaulty} {
-			g := Compute(f, pol)
-			if !g.Fixpoint() {
-				t.Fatalf("trial %d policy %v: labeling not at fixpoint", trial, pol)
-			}
-			// Every faulty node is labeled faulty; no safe node lost.
-			for _, c := range f.Coords() {
-				if g.Status(c) != Faulty {
-					t.Fatalf("fault %v labeled %v", c, g.Status(c))
-				}
+		g := Compute(f)
+		if !g.Fixpoint() {
+			t.Fatalf("trial %d: labeling not at fixpoint", trial)
+		}
+		// Every faulty node is labeled faulty; no safe node lost.
+		for _, c := range f.Coords() {
+			if g.Status(c) != Faulty {
+				t.Fatalf("fault %v labeled %v", c, g.Status(c))
 			}
 		}
 	}
@@ -153,15 +146,13 @@ func TestDistributedMatchesCentral(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		m := mesh.Square(16)
 		f := fault.Uniform{}.Generate(m, r.Intn(80), r)
-		for _, pol := range []BorderPolicy{BorderSafe, BorderFaulty} {
-			central := Compute(f, pol)
-			dist, net := ComputeDistributed(f, pol)
-			if !central.Equal(dist) {
-				t.Fatalf("trial %d policy %v: distributed labeling differs from central", trial, pol)
-			}
-			if net.Participants() == 0 {
-				t.Fatal("distributed labeling had no participants")
-			}
+		central := Compute(f)
+		dist, net := ComputeDistributed(f)
+		if !central.Equal(dist) {
+			t.Fatalf("trial %d: distributed labeling differs from central", trial)
+		}
+		if net.Participants() == 0 {
+			t.Fatal("distributed labeling had no participants")
 		}
 	}
 }
@@ -173,8 +164,8 @@ func TestDistributedClusterChain(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		f.Add(mesh.C(5+i, 20-i))
 	}
-	central := Compute(f, BorderSafe)
-	dist, net := ComputeDistributed(f, BorderSafe)
+	central := Compute(f)
+	dist, net := ComputeDistributed(f)
 	if !central.Equal(dist) {
 		t.Fatal("distributed differs on anti-diagonal chain")
 	}
@@ -193,12 +184,12 @@ func TestDistributedClusterChain(t *testing.T) {
 func TestRecomputeAfterRepair(t *testing.T) {
 	m := mesh.Square(10)
 	f := fault.FromCoords(m, mesh.C(4, 6), mesh.C(5, 5), mesh.C(6, 4))
-	g := Compute(f, BorderSafe)
+	g := Compute(f)
 	if g.UnsafeCount() != 9 {
 		t.Fatalf("pre-repair unsafe = %d", g.UnsafeCount())
 	}
 	f.Remove(mesh.C(5, 5))
-	g = Compute(f, BorderSafe)
+	g = Compute(f)
 	if g.UnsafeCount() != 2 {
 		t.Fatalf("post-repair unsafe = %d, want 2", g.UnsafeCount())
 	}
@@ -213,9 +204,6 @@ func TestStatusStrings(t *testing.T) {
 	}
 	if Status(9).String() != "status(9)" {
 		t.Error("unknown status string")
-	}
-	if BorderSafe.String() != "border-safe" || BorderFaulty.String() != "border-faulty" {
-		t.Error("policy strings changed")
 	}
 }
 

@@ -55,8 +55,6 @@ func Update(prev *Grid, adds, repairs []mesh.Coord) UpdateResult {
 		m:      m,
 		label:  append([]flags(nil), prev.label...),
 		unsafe: prev.unsafe,
-		policy: prev.policy,
-		rounds: 1,
 	}
 	res := UpdateResult{Grid: g}
 
@@ -162,10 +160,10 @@ func Update(prev *Grid, adds, repairs []mesh.Coord) UpdateResult {
 		res.Examined++
 		c := m.CoordOf(idx)
 		add := flags(0)
-		if fl&fUseless == 0 && uselessRule(m, g.label, g.policy, c) {
+		if fl&fUseless == 0 && uselessRule(m, g.label, c) {
 			add |= fUseless
 		}
-		if fl&fCantReach == 0 && cantReachRule(m, g.label, g.policy, c) {
+		if fl&fCantReach == 0 && cantReachRule(m, g.label, c) {
 			add |= fCantReach
 		}
 		if add == 0 {

@@ -26,76 +26,74 @@ func applyDelta(f *fault.Set, cands []mesh.Coord) (adds, repairs []mesh.Coord) {
 
 // TestUpdateMatchesCompute drives random fault sequences through
 // incremental Update and checks the grid is identical to a from-scratch
-// Compute after every step, under both border policies.
+// Compute after every step, under the one border rule (a missing
+// neighbour reads safe), kept as its own subtest.
 func TestUpdateMatchesCompute(t *testing.T) {
-	for _, policy := range []BorderPolicy{BorderSafe, BorderFaulty} {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0x1ab))
-			for trial := 0; trial < 40; trial++ {
-				w, h := 4+rng.Intn(14), 4+rng.Intn(14)
-				m := mesh.New(w, h)
-				f := fault.NewSet(m)
-				prev := Compute(f, policy)
-				for step := 0; step < 12; step++ {
-					cands := make([]mesh.Coord, 0, 4)
-					seenc := map[mesh.Coord]bool{}
-					for n := 1 + rng.Intn(4); n > 0; n-- {
-						c := mesh.C(rng.Intn(w), rng.Intn(h))
-						if !seenc[c] {
-							seenc[c] = true
-							cands = append(cands, c)
-						}
+	t.Run("border-safe", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(0x1ab))
+		for trial := 0; trial < 40; trial++ {
+			w, h := 4+rng.Intn(14), 4+rng.Intn(14)
+			m := mesh.New(w, h)
+			f := fault.NewSet(m)
+			prev := Compute(f)
+			for step := 0; step < 12; step++ {
+				cands := make([]mesh.Coord, 0, 4)
+				seenc := map[mesh.Coord]bool{}
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					c := mesh.C(rng.Intn(w), rng.Intn(h))
+					if !seenc[c] {
+						seenc[c] = true
+						cands = append(cands, c)
 					}
-					adds, repairs := applyDelta(f, cands)
-					res := Update(prev, adds, repairs)
-					want := Compute(f, policy)
-					if !res.Grid.Equal(want) {
-						t.Fatalf("trial %d step %d (%dx%d %s): incremental grid diverged\nadds=%v repairs=%v",
-							trial, step, w, h, policy, adds, repairs)
-					}
-					if res.Grid.UnsafeCount() != want.UnsafeCount() {
-						t.Fatalf("trial %d step %d: unsafe count %d, want %d",
-							trial, step, res.Grid.UnsafeCount(), want.UnsafeCount())
-					}
-					// Changed/UnsafeFlipped must be the exact diff vs prev.
-					changed := map[mesh.Coord]bool{}
-					flipped := map[mesh.Coord]bool{}
-					m.EachNode(func(c mesh.Coord) {
-						i := m.Index(c)
-						if res.Grid.label[i] != prev.label[i] {
-							changed[c] = true
-						}
-						if res.Grid.label[i].unsafe() != prev.label[i].unsafe() {
-							flipped[c] = true
-						}
-					})
-					if len(res.Changed) != len(changed) {
-						t.Fatalf("trial %d step %d: Changed has %d cells, want %d",
-							trial, step, len(res.Changed), len(changed))
-					}
-					for _, c := range res.Changed {
-						if !changed[c] {
-							t.Fatalf("trial %d step %d: Changed lists unchanged cell %v", trial, step, c)
-						}
-					}
-					if len(res.UnsafeFlipped) != len(flipped) {
-						t.Fatalf("trial %d step %d: UnsafeFlipped has %d cells, want %d",
-							trial, step, len(res.UnsafeFlipped), len(flipped))
-					}
-					for _, c := range res.UnsafeFlipped {
-						if !flipped[c] {
-							t.Fatalf("trial %d step %d: UnsafeFlipped lists non-flipped cell %v", trial, step, c)
-						}
-					}
-					if !res.Grid.Fixpoint() {
-						t.Fatalf("trial %d step %d: incremental grid not a fixpoint", trial, step)
-					}
-					prev = res.Grid
 				}
+				adds, repairs := applyDelta(f, cands)
+				res := Update(prev, adds, repairs)
+				want := Compute(f)
+				if !res.Grid.Equal(want) {
+					t.Fatalf("trial %d step %d (%dx%d): incremental grid diverged\nadds=%v repairs=%v",
+						trial, step, w, h, adds, repairs)
+				}
+				if res.Grid.UnsafeCount() != want.UnsafeCount() {
+					t.Fatalf("trial %d step %d: unsafe count %d, want %d",
+						trial, step, res.Grid.UnsafeCount(), want.UnsafeCount())
+				}
+				// Changed/UnsafeFlipped must be the exact diff vs prev.
+				changed := map[mesh.Coord]bool{}
+				flipped := map[mesh.Coord]bool{}
+				m.EachNode(func(c mesh.Coord) {
+					i := m.Index(c)
+					if res.Grid.label[i] != prev.label[i] {
+						changed[c] = true
+					}
+					if res.Grid.label[i].unsafe() != prev.label[i].unsafe() {
+						flipped[c] = true
+					}
+				})
+				if len(res.Changed) != len(changed) {
+					t.Fatalf("trial %d step %d: Changed has %d cells, want %d",
+						trial, step, len(res.Changed), len(changed))
+				}
+				for _, c := range res.Changed {
+					if !changed[c] {
+						t.Fatalf("trial %d step %d: Changed lists unchanged cell %v", trial, step, c)
+					}
+				}
+				if len(res.UnsafeFlipped) != len(flipped) {
+					t.Fatalf("trial %d step %d: UnsafeFlipped has %d cells, want %d",
+						trial, step, len(res.UnsafeFlipped), len(flipped))
+				}
+				for _, c := range res.UnsafeFlipped {
+					if !flipped[c] {
+						t.Fatalf("trial %d step %d: UnsafeFlipped lists non-flipped cell %v", trial, step, c)
+					}
+				}
+				if !res.Grid.Fixpoint() {
+					t.Fatalf("trial %d step %d: incremental grid not a fixpoint", trial, step)
+				}
+				prev = res.Grid
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestUpdateEmptyDeltaShares checks the no-op delta returns the previous
@@ -104,7 +102,7 @@ func TestUpdateEmptyDeltaShares(t *testing.T) {
 	m := mesh.New(8, 8)
 	f := fault.NewSet(m)
 	f.Add(mesh.C(3, 3))
-	g := Compute(f, BorderSafe)
+	g := Compute(f)
 	res := Update(g, nil, nil)
 	if res.Grid != g {
 		t.Fatalf("empty delta should return the previous grid")
@@ -119,7 +117,7 @@ func TestUpdateEmptyDeltaShares(t *testing.T) {
 func TestUpdateNoLabelMovementShares(t *testing.T) {
 	m := mesh.New(8, 8)
 	f := fault.NewSet(m)
-	g := Compute(f, BorderSafe)
+	g := Compute(f)
 	// Add then repair in two steps: the second Update's result must equal
 	// (and share nothing incorrect with) a fresh Compute.
 	f.Add(mesh.C(4, 4))

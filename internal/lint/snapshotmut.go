@@ -20,7 +20,7 @@ type SnapshotMutConfig struct {
 
 // DefaultSnapshotMut guards the engine's snapshot contract: a
 // routing.Analysis (and the MCC/info/labeling state hanging off it) is
-// immutable after Precompute, shared via atomic.Pointer, and read
+// immutable once built, shared via atomic.Pointer, and read
 // lock-free by every concurrent Route. Only the build/rebuild packages
 // may write these fields; a write anywhere else (engine, server, eval,
 // cmd) would corrupt a published snapshot under readers' feet.
@@ -61,7 +61,7 @@ func NewSnapshotMut(cfg SnapshotMutConfig) *Analyzer {
 		}
 		check := func(lhs ast.Expr, pos token.Pos) {
 			if name, field, ok := protectedFieldWrite(pass, lhs, protected); ok {
-				pass.Reportf(pos, "write to %s.%s outside the snapshot build packages (snapshots are immutable after Precompute; allowed: %s)",
+				pass.Reportf(pos, "write to %s.%s outside the snapshot build packages (snapshots are immutable once built; allowed: %s)",
 					name, field, strings.Join(cfg.AllowedPkgs, ", "))
 			}
 		}

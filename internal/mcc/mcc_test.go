@@ -11,7 +11,7 @@ import (
 
 func extract(t *testing.T, m mesh.Mesh, faults ...mesh.Coord) *Set {
 	t.Helper()
-	g := labeling.Compute(fault.FromCoords(m, faults...), labeling.BorderSafe)
+	g := labeling.Compute(fault.FromCoords(m, faults...))
 	s := Extract(g)
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -135,7 +135,7 @@ func TestInvariantsOnRandomFields(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		m := mesh.Square(24)
 		n := r.Intn(140)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, n, r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, n, r))
 		s := Extract(g)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d (%d faults): %v", trial, n, err)
@@ -164,7 +164,7 @@ func TestInvariantsOnRandomFields(t *testing.T) {
 func TestColumnRowIndexOrdering(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	m := mesh.Square(20)
-	g := labeling.Compute(fault.Uniform{}.Generate(m, 60, r), labeling.BorderSafe)
+	g := labeling.Compute(fault.Uniform{}.Generate(m, 60, r))
 	s := Extract(g)
 	for _, a := range Axes {
 		for p := 0; p < 20; p++ {
@@ -190,7 +190,7 @@ func TestBlockingPredicateEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 40; trial++ {
 		m := mesh.Square(16)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, 4+r.Intn(30), r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, 4+r.Intn(30), r))
 		s := Extract(g)
 		for _, f := range s.All() {
 			for i := 0; i < 60; i++ {
@@ -221,7 +221,7 @@ func TestFreeGapPairNeverBlocks(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 120 && checked < 400; trial++ {
 		m := mesh.Square(14)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, 3+r.Intn(20), r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, 3+r.Intn(20), r))
 		s := Extract(g)
 		all := s.All()
 		for ai := range all {
@@ -260,7 +260,7 @@ func TestFindSequenceIffManhattanBlocked(t *testing.T) {
 	blockedCases := 0
 	for trial := 0; trial < 60; trial++ {
 		m := mesh.Square(18)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, 10+r.Intn(50), r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, 10+r.Intn(50), r))
 		s := Extract(g)
 		for i := 0; i < 40; i++ {
 			u := mesh.C(r.Intn(18), r.Intn(18))
@@ -305,7 +305,7 @@ func TestSafeManhattanEqualsFaultyManhattan(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		m := mesh.Square(18)
 		f := fault.Uniform{}.Generate(m, 10+r.Intn(50), r)
-		g := labeling.Compute(f, labeling.BorderSafe)
+		g := labeling.Compute(f)
 		for i := 0; i < 40; i++ {
 			u := mesh.C(r.Intn(18), r.Intn(18))
 			d := mesh.C(u.X+r.Intn(18-u.X), u.Y+r.Intn(18-u.Y))

@@ -20,7 +20,7 @@ func TestQuickStaircaseInvariant(t *testing.T) {
 		for _, v := range cells {
 			fs.Add(m.CoordOf(int(v) % m.Nodes()))
 		}
-		set := Extract(labeling.Compute(fs, labeling.BorderSafe))
+		set := Extract(labeling.Compute(fs))
 		if set.Validate() != nil {
 			return false
 		}
@@ -49,7 +49,7 @@ func TestQuickBlockingRequiresOverlap(t *testing.T) {
 		for _, v := range cells {
 			fs.Add(m.CoordOf(int(v) % m.Nodes()))
 		}
-		set := Extract(labeling.Compute(fs, labeling.BorderSafe))
+		set := Extract(labeling.Compute(fs))
 		u := mesh.C(int(ux)%18, int(uy)%18)
 		d := mesh.C(min(u.X+int(w)%18, 17), min(u.Y+int(h)%18, 17))
 		rect := mesh.RectOf(u, d)

@@ -21,7 +21,7 @@ func TestStressSequenceEquivalence(t *testing.T) {
 		n := 10 + r.Intn(26)
 		m := mesh.Square(n)
 		density := 1 + r.Intn(n*n/3)
-		g := labeling.Compute(fault.Uniform{}.Generate(m, density, r), labeling.BorderSafe)
+		g := labeling.Compute(fault.Uniform{}.Generate(m, density, r))
 		s := Extract(g)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

@@ -76,57 +76,55 @@ func setsEqual(t *testing.T, got, want *Set) {
 
 // TestUpdateSetMatchesExtract drives random fault sequences through
 // incremental relabeling + UpdateSet and compares against a from-scratch
-// Extract after every step.
+// Extract after every step, under the one border rule (a missing
+// neighbour reads safe), kept as its own subtest.
 func TestUpdateSetMatchesExtract(t *testing.T) {
-	for _, policy := range []labeling.BorderPolicy{labeling.BorderSafe, labeling.BorderFaulty} {
-		policy := policy
-		t.Run(policy.String(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0x5e7))
-			for trial := 0; trial < 30; trial++ {
-				w, h := 4+rng.Intn(12), 4+rng.Intn(12)
-				m := mesh.New(w, h)
-				f := fault.NewSet(m)
-				grid := labeling.Compute(f, policy)
-				set := Extract(grid)
-				for step := 0; step < 10; step++ {
-					var adds, repairs []mesh.Coord
-					seen := map[mesh.Coord]bool{}
-					for n := 1 + rng.Intn(4); n > 0; n-- {
-						c := mesh.C(rng.Intn(w), rng.Intn(h))
-						if seen[c] {
-							continue
-						}
-						seen[c] = true
-						if f.Faulty(c) {
-							f.Remove(c)
-							repairs = append(repairs, c)
-						} else {
-							f.Add(c)
-							adds = append(adds, c)
-						}
+	t.Run("border-safe", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(0x5e7))
+		for trial := 0; trial < 30; trial++ {
+			w, h := 4+rng.Intn(12), 4+rng.Intn(12)
+			m := mesh.New(w, h)
+			f := fault.NewSet(m)
+			grid := labeling.Compute(f)
+			set := Extract(grid)
+			for step := 0; step < 10; step++ {
+				var adds, repairs []mesh.Coord
+				seen := map[mesh.Coord]bool{}
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					c := mesh.C(rng.Intn(w), rng.Intn(h))
+					if seen[c] {
+						continue
 					}
-					res := labeling.Update(grid, adds, repairs)
-					grid = res.Grid
-					prev := set
-					var carried map[*MCC]*MCC
-					set, carried = UpdateSet(set, grid, res.UnsafeFlipped)
-					setsEqual(t, set, Extract(grid))
-					for old, nw := range carried {
-						if old.X0 != nw.X0 || old.Y0 != nw.Y0 || old.Cells != nw.Cells {
-							t.Fatalf("carried map pairs different geometry: %+v -> %+v", old, nw)
-						}
-						if set.all[nw.ID] != nw {
-							t.Fatalf("carried target not in new set at its ID")
-						}
-					}
-					_ = prev
-					if err := set.Validate(); err != nil {
-						t.Fatalf("trial %d step %d: %v", trial, step, err)
+					seen[c] = true
+					if f.Faulty(c) {
+						f.Remove(c)
+						repairs = append(repairs, c)
+					} else {
+						f.Add(c)
+						adds = append(adds, c)
 					}
 				}
+				res := labeling.Update(grid, adds, repairs)
+				grid = res.Grid
+				prev := set
+				var carried map[*MCC]*MCC
+				set, carried = UpdateSet(set, grid, res.UnsafeFlipped)
+				setsEqual(t, set, Extract(grid))
+				for old, nw := range carried {
+					if old.X0 != nw.X0 || old.Y0 != nw.Y0 || old.Cells != nw.Cells {
+						t.Fatalf("carried map pairs different geometry: %+v -> %+v", old, nw)
+					}
+					if set.all[nw.ID] != nw {
+						t.Fatalf("carried target not in new set at its ID")
+					}
+				}
+				_ = prev
+				if err := set.Validate(); err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestUpdateSetSharesWhenUnflipped checks that a no-flip delta shares
@@ -136,7 +134,7 @@ func TestUpdateSetSharesWhenUnflipped(t *testing.T) {
 	f := fault.NewSet(m)
 	f.Add(mesh.C(2, 2))
 	f.Add(mesh.C(7, 7))
-	grid := labeling.Compute(f, labeling.BorderSafe)
+	grid := labeling.Compute(f)
 	set := Extract(grid)
 
 	next, carried := UpdateSet(set, grid, nil)
@@ -149,7 +147,7 @@ func TestUpdateSetSharesWhenUnflipped(t *testing.T) {
 
 	// A different grid pointer with no flips shares components but carries
 	// the new grid.
-	grid2 := labeling.Compute(f, labeling.BorderSafe)
+	grid2 := labeling.Compute(f)
 	next, _ = UpdateSet(set, grid2, nil)
 	if next == set {
 		t.Fatalf("new grid pointer must produce a new set header")
@@ -168,7 +166,7 @@ func TestUpdateSetSharesUntouchedComponents(t *testing.T) {
 	m := mesh.New(20, 20)
 	f := fault.NewSet(m)
 	f.Add(mesh.C(2, 2)) // component 0, untouched throughout
-	grid := labeling.Compute(f, labeling.BorderSafe)
+	grid := labeling.Compute(f)
 	set := Extract(grid)
 	first := set.All()[0]
 

@@ -23,9 +23,6 @@ func C(x, y int) Coord { return Coord{X: x, Y: y} }
 // String renders the coordinate in the paper's "(x,y)" style.
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 
-// Add returns the coordinate translated by (dx, dy).
-func (c Coord) Add(dx, dy int) Coord { return Coord{c.X + dx, c.Y + dy} }
-
 // Manhattan returns the Manhattan distance M(c, o) = |xc-xo| + |yc-yo|.
 func (c Coord) Manhattan(o Coord) int {
 	return abs(c.X-o.X) + abs(c.Y-o.Y)

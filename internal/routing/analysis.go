@@ -20,8 +20,9 @@
 //
 // The paper develops everything for travel toward +X/+Y and obtains the
 // other quadrants "by simply rotating the mesh"; Analysis implements the
-// rotation by maintaining the labeling, MCC geometry, and information
-// stores for all four mesh.Orient frames of one fault set, built lazily.
+// rotation by holding the labeling, MCC geometry, and information stores
+// for all four mesh.Orient frames of one fault set, all built before
+// NewAnalysis returns.
 package routing
 
 import (
@@ -32,25 +33,22 @@ import (
 	"repro/internal/mesh"
 )
 
-// Analysis caches the per-orientation derived state for one fault
+// Analysis holds the per-orientation derived state for one fault
 // configuration.
 //
 // # Concurrency model
 //
-// An Analysis is immutable after build: the labeling grids, MCC sets, and
-// information stores it holds are constructed once and never mutated by
-// queries or routings (routing walks keep all their state in per-call walk
-// structures). The only mutation Analysis itself performs is filling its
-// lazy per-orientation caches on first access, which makes the *lazy* form
-// single-threaded. Call Precompute to force every cache eagerly; after
-// Precompute returns, the Analysis is safe for unlimited concurrent readers
-// (Route, Grid, MCCs, Store, ...) with no locking — this is the snapshot
-// contract internal/engine builds on. Callers must also stop mutating the
-// underlying fault.Set once the Analysis is shared.
+// An Analysis is immutable once built: NewAnalysis (or RebuildFrom)
+// constructs the labeling grids, MCC sets, wall bitsets and information
+// stores before returning, and queries and routings never write them
+// (routing walks keep all their state in per-call walk structures). It is
+// therefore safe for unlimited concurrent readers (Route, Grid, MCCs,
+// Store, ...) with no locking — the snapshot contract internal/engine
+// builds on. Callers must also stop mutating the underlying fault.Set once
+// the Analysis is shared.
 type Analysis struct {
 	m      mesh.Mesh
 	faults *fault.Set
-	policy labeling.BorderPolicy
 
 	grids  [mesh.NumOrients]*labeling.Grid
 	sets   [mesh.NumOrients]*mcc.Set
@@ -60,21 +58,47 @@ type Analysis struct {
 	// original-frame mesh.Index: faultyBits marks faulty nodes (the E-cube
 	// and downgraded-detour wall), unsafeBits[o] marks nodes unsafe in the
 	// canonical frame of orientation o (the MCC-region wall of RB1/RB2/RB3
-	// detours). Built with the same lazy-then-Precompute contract as the
-	// grids.
+	// detours).
 	faultyBits []uint64
 	unsafeBits [mesh.NumOrients][]uint64
 }
 
-// NewAnalysis prepares lazy per-orientation analyses of the fault set under
-// the default BorderSafe labeling policy.
-func NewAnalysis(f *fault.Set) *Analysis {
-	return &Analysis{m: f.Mesh(), faults: f, policy: labeling.BorderSafe}
+// allModels is what an empty models argument means.
+var allModels = []info.Model{info.B1, info.B2, info.B3}
+
+// NewAnalysis builds the analysis of fault set f: for every orientation
+// the labeling grid, the MCC set, the wall bitsets and the information
+// stores of the given models. With no models it builds all three (B1, B2,
+// B3); a model left out has no store, and routing an algorithm that needs
+// it aborts (see Route).
+func NewAnalysis(f *fault.Set, models ...info.Model) *Analysis {
+	if len(models) == 0 {
+		models = allModels
+	}
+	m := f.Mesh()
+	a := &Analysis{m: m, faults: f, faultyBits: nodeBits(m, f.Faulty)}
+	for o := mesh.Orient(0); o < mesh.NumOrients; o++ {
+		g := labeling.Compute(f.Mirror(o))
+		a.grids[o] = g
+		a.sets[o] = mcc.Extract(g)
+		a.unsafeBits[o] = nodeBits(m, func(c mesh.Coord) bool { return g.Unsafe(o.To(m, c)) })
+		for _, mod := range models {
+			a.stores[mod][o] = info.Build(mod, a.sets[o])
+		}
+	}
+	return a
 }
 
-// NewAnalysisWithPolicy selects the labeling border policy (ablation).
-func NewAnalysisWithPolicy(f *fault.Set, p labeling.BorderPolicy) *Analysis {
-	return &Analysis{m: f.Mesh(), faults: f, policy: p}
+// nodeBits returns the flat bitset, indexed by original-frame
+// mesh.Index, of the nodes of m that satisfy in.
+func nodeBits(m mesh.Mesh, in func(mesh.Coord) bool) []uint64 {
+	bits := make([]uint64, (m.Nodes()+63)/64)
+	for idx := 0; idx < m.Nodes(); idx++ {
+		if in(m.CoordOf(idx)) {
+			bits[idx>>6] |= 1 << (uint(idx) & 63)
+		}
+	}
+	return bits
 }
 
 // Mesh returns the analyzed topology.
@@ -84,79 +108,15 @@ func (a *Analysis) Mesh() mesh.Mesh { return a.m }
 func (a *Analysis) Faults() *fault.Set { return a.faults }
 
 // Grid returns the labeling for orientation o (canonical frame of o).
-func (a *Analysis) Grid(o mesh.Orient) *labeling.Grid {
-	if a.grids[o] == nil {
-		a.grids[o] = labeling.Compute(a.faults.Mirror(o), a.policy)
-	}
-	return a.grids[o]
-}
+func (a *Analysis) Grid(o mesh.Orient) *labeling.Grid { return a.grids[o] }
 
 // MCCs returns the MCC set for orientation o.
-func (a *Analysis) MCCs(o mesh.Orient) *mcc.Set {
-	if a.sets[o] == nil {
-		a.sets[o] = mcc.Extract(a.Grid(o))
-	}
-	return a.sets[o]
-}
+func (a *Analysis) MCCs(o mesh.Orient) *mcc.Set { return a.sets[o] }
 
-// faultyMask returns the flat faulty bitset (original-frame indices),
-// building it on first use.
-func (a *Analysis) faultyMask() []uint64 {
-	if a.faultyBits == nil {
-		bits := make([]uint64, (a.m.Nodes()+63)/64)
-		for idx := 0; idx < a.m.Nodes(); idx++ {
-			if a.faults.Faulty(a.m.CoordOf(idx)) {
-				bits[idx>>6] |= 1 << (uint(idx) & 63)
-			}
-		}
-		a.faultyBits = bits
-	}
-	return a.faultyBits
-}
-
-// unsafeMask returns the flat bitset of nodes (original-frame indices)
-// that are unsafe in the canonical frame of orientation o, building it on
-// first use.
-func (a *Analysis) unsafeMask(o mesh.Orient) []uint64 {
-	if a.unsafeBits[o] == nil {
-		g := a.Grid(o)
-		bits := make([]uint64, (a.m.Nodes()+63)/64)
-		for idx := 0; idx < a.m.Nodes(); idx++ {
-			if g.Unsafe(o.To(a.m, a.m.CoordOf(idx))) {
-				bits[idx>>6] |= 1 << (uint(idx) & 63)
-			}
-		}
-		a.unsafeBits[o] = bits
-	}
-	return a.unsafeBits[o]
-}
-
-// Store returns the information store of the given model for orientation o.
+// Store returns the information store of the given model for orientation
+// o, or nil when the analysis was built without that model.
 func (a *Analysis) Store(model info.Model, o mesh.Orient) *info.Store {
-	if a.stores[model][o] == nil {
-		a.stores[model][o] = info.Build(model, a.MCCs(o))
-	}
 	return a.stores[model][o]
-}
-
-// Precompute eagerly builds the labeling grid, MCC set, and the given
-// information stores for every orientation, then returns a. With no models
-// it builds all three (B1, B2, B3). Afterwards every query path is
-// read-only and the Analysis may be shared freely across goroutines.
-func (a *Analysis) Precompute(models ...info.Model) *Analysis {
-	if len(models) == 0 {
-		models = []info.Model{info.B1, info.B2, info.B3}
-	}
-	a.faultyMask()
-	for o := mesh.Orient(0); o < mesh.NumOrients; o++ {
-		a.Grid(o)
-		a.MCCs(o)
-		a.unsafeMask(o)
-		for _, mod := range models {
-			a.Store(mod, o)
-		}
-	}
-	return a
 }
 
 // env bundles the canonical-frame state one routing leg works against.

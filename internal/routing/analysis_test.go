@@ -9,26 +9,38 @@ import (
 	"repro/internal/mesh"
 )
 
-func TestAnalysisLazyCaching(t *testing.T) {
+// TestAnalysisAccessorsReturnBuiltState checks that NewAnalysis builds
+// every orientation's grid, MCC set and named stores before returning,
+// that the accessors hand back those objects, and that a model left out
+// has no store.
+func TestAnalysisAccessorsReturnBuiltState(t *testing.T) {
 	m := mesh.Square(10)
-	a := NewAnalysis(fault.FromCoords(m, mesh.C(5, 5)))
-	g1 := a.Grid(mesh.NE)
-	if g1 != a.Grid(mesh.NE) {
-		t.Error("Grid not cached")
-	}
-	s1 := a.MCCs(mesh.SW)
-	if s1 != a.MCCs(mesh.SW) {
-		t.Error("MCCs not cached")
-	}
-	st := a.Store(info.B1, mesh.NE)
-	if st != a.Store(info.B1, mesh.NE) {
-		t.Error("Store not cached")
-	}
-	if a.Store(info.B2, mesh.NE) == st {
-		t.Error("distinct models share a store")
+	f := fault.FromCoords(m, mesh.C(5, 5))
+	a := NewAnalysis(f)
+	for _, o := range mesh.Orients {
+		if !a.Grid(o).Equal(labeling.Compute(f.Mirror(o))) {
+			t.Errorf("orient %v: Grid is not the orientation's labeling", o)
+		}
+		if a.MCCs(o).Grid() != a.Grid(o) {
+			t.Errorf("orient %v: MCCs not extracted from Grid", o)
+		}
+		for _, mod := range []info.Model{info.B1, info.B2, info.B3} {
+			if st := a.Store(mod, o); st == nil || st.Set() != a.MCCs(o) || st.Model() != mod {
+				t.Errorf("orient %v: no %v store built on the orientation's MCC set", o, mod)
+			}
+		}
+		if a.Store(info.B1, o) == a.Store(info.B2, o) || a.Store(info.B2, o) == a.Store(info.B3, o) {
+			t.Errorf("orient %v: distinct models share a store", o)
+		}
 	}
 	if a.Mesh() != m || a.Faults().Count() != 1 {
 		t.Error("accessors wrong")
+	}
+	b2 := NewAnalysis(f, info.B2)
+	for _, o := range mesh.Orients {
+		if b2.Store(info.B2, o) == nil || b2.Store(info.B1, o) != nil || b2.Store(info.B3, o) != nil {
+			t.Errorf("orient %v: a B2-only analysis must hold the B2 store and no other", o)
+		}
 	}
 }
 
@@ -65,13 +77,5 @@ func TestEnvForSelectsLegOrientation(t *testing.T) {
 		if e := a.envFor(c.u, c.t, info.B1); e.orient != c.want {
 			t.Errorf("envFor(%v,%v) orient = %v, want %v", c.u, c.t, e.orient, c.want)
 		}
-	}
-}
-
-func TestAnalysisBorderPolicyPlumbed(t *testing.T) {
-	m := mesh.Square(6)
-	a := NewAnalysisWithPolicy(fault.NewSet(m), labeling.BorderFaulty)
-	if a.Grid(mesh.NE).SafeCount() != 0 {
-		t.Error("BorderFaulty cascade not applied (policy not plumbed)")
 	}
 }

@@ -28,19 +28,19 @@ type RebuildStats struct {
 // prev, which is never mutated — concurrent readers of the previous
 // snapshot are unaffected.
 //
-// The result is identical to NewAnalysisWithPolicy(f, prev.policy).
-// Precompute(models...) — the rebuild-equivalence property test holds
-// this to byte-identical labels, MCC sets, bitsets, and routed paths.
-// Like Precompute, no models means all three.
+// The result is identical to NewAnalysis(f, models...) — the
+// rebuild-equivalence property test holds this to byte-identical labels,
+// MCC sets, bitsets, and routed paths. As for NewAnalysis, no models means
+// all three; prev must hold the stores of every model asked for.
 func RebuildFrom(prev *Analysis, f *fault.Set, adds, repairs []mesh.Coord, models ...info.Model) (*Analysis, RebuildStats) {
 	if len(models) == 0 {
-		models = []info.Model{info.B1, info.B2, info.B3}
+		models = allModels
 	}
-	a := &Analysis{m: prev.m, faults: f, policy: prev.policy}
+	a := &Analysis{m: prev.m, faults: f}
 	var st RebuildStats
 
 	// Faulty bitset: copy and flip the delta positions.
-	fb := append([]uint64(nil), prev.faultyMask()...)
+	fb := append([]uint64(nil), prev.faultyBits...)
 	for _, c := range adds {
 		idx := a.m.Index(c)
 		fb[idx>>6] |= 1 << (uint(idx) & 63)
@@ -71,13 +71,13 @@ func RebuildFrom(prev *Analysis, f *fault.Set, adds, repairs []mesh.Coord, model
 			// The orientation's safe/unsafe partition did not move: the
 			// bitset and every store are valid as-is (stores read only
 			// set geometry and Safe status).
-			a.unsafeBits[o] = prev.unsafeMask(o)
+			a.unsafeBits[o] = prev.unsafeBits[o]
 			for _, mod := range models {
 				a.stores[mod][o] = prev.Store(mod, o)
 			}
 			continue
 		}
-		ub := append([]uint64(nil), prev.unsafeMask(o)...)
+		ub := append([]uint64(nil), prev.unsafeBits[o]...)
 		for _, c := range res.UnsafeFlipped {
 			// UnsafeFlipped is in o's canonical frame; the bitset is
 			// indexed in the original frame.

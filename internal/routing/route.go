@@ -66,9 +66,9 @@ type Options struct {
 	// Scratch supplies the reusable walk buffers. When set, Route
 	// allocates nothing at steady state, and Result.Path aliases the
 	// scratch's path buffer — valid only until the scratch's next use.
-	// When nil, Route borrows a pooled scratch and returns a detached
-	// path. A Scratch serves one walk at a time; concurrent callers need
-	// one each.
+	// When nil, Route walks on a fresh scratch, which the returned path
+	// alone keeps. A Scratch serves one walk at a time; concurrent callers
+	// need one each. internal/engine pools the scratches of its snapshots.
 	Scratch *Scratch
 }
 
@@ -115,6 +115,9 @@ type Result struct {
 }
 
 // Route simulates algo from s to d over the analyzed fault configuration.
+// An RB1, RB2 or RB3 walk on an analysis built without the algorithm's
+// information model does not start: the result is undelivered and its
+// Abort names the missing model.
 //
 //meshlint:hotpath
 func Route(a *Analysis, algo Algo, s, d mesh.Coord, opt Options) Result {
@@ -124,28 +127,31 @@ func Route(a *Analysis, algo Algo, s, d mesh.Coord, opt Options) Result {
 	if a.faults.Faulty(s) || a.faults.Faulty(d) {
 		return Result{Abort: "faulty endpoint"}
 	}
+	var find seqFinder
+	switch algo {
+	case Ecube, RB1:
+	case RB2:
+		find = findSequenceFull
+	case RB3:
+		find = findSequenceB3
+	default:
+		return Result{Abort: "unknown algorithm"}
+	}
+	model := algo.Model()
+	if algo != Ecube && a.stores[model][mesh.NE] == nil {
+		return Result{Abort: "information model " + model.String() + " not built"}
+	}
 	sc := opt.Scratch
-	borrowed := sc == nil
-	if borrowed {
-		sc = scratchPool.Get().(*Scratch)
+	if sc == nil {
+		sc = &Scratch{} //meshlint:allow a walk without a caller scratch gets a fresh one; callers that route repeatedly pass their own (internal/engine pools them)
 		opt.Scratch = sc
 	}
 	sc.ensure(a.m)
 	var res Result
-	switch algo {
-	case Ecube:
+	if algo == Ecube {
 		res = a.routeEcube(s, d, opt)
-	case RB1:
-		res = a.routePlanned(s, d, opt, info.B1, nil)
-	case RB2:
-		res = a.routePlanned(s, d, opt, info.B2, findSequenceFull)
-	case RB3:
-		res = a.routePlanned(s, d, opt, info.B3, findSequenceB3)
-	default:
-		if borrowed {
-			scratchPool.Put(sc)
-		}
-		return Result{Abort: "unknown algorithm"}
+	} else {
+		res = a.routePlanned(s, d, opt, model, find)
 	}
 	// Keep the (possibly grown) arrival log as the scratch's path buffer
 	// for the next walk, and drop the walk state: a pooled scratch
@@ -153,10 +159,6 @@ func Route(a *Analysis, algo Algo, s, d mesh.Coord, opt Options) Result {
 	// context.
 	sc.path = res.Path
 	sc.w = walk{}
-	if borrowed {
-		res.Path = append([]mesh.Coord(nil), res.Path...) //meshlint:allow detached copy for the borrowed-scratch path; callers opting into zero-alloc routing pass their own Scratch
-		scratchPool.Put(sc)
-	}
 	return res
 }
 
@@ -216,7 +218,7 @@ func (a *Analysis) newWalk(s, d mesh.Coord, opt Options) *walk {
 		res:      Result{Path: append(sc.path[:0], s)},
 		u:        s,
 		d:        d,
-		wallMask: a.faultyMask(),
+		wallMask: a.faultyBits,
 		stop:     opt.Stop,
 	}
 	sc.bumpVisit(s)
@@ -296,7 +298,7 @@ func (w *walk) downgrade() bool {
 	}
 	w.downgraded = true
 	w.res.Downgraded = true
-	w.wallMask = w.a.faultyMask()
+	w.wallMask = w.a.faultyBits
 	return true
 }
 
@@ -355,7 +357,7 @@ func (w *walk) done(maxHops int) bool {
 //
 //meshlint:hotpath
 func (w *walk) useUnsafeWall(e env) {
-	w.wallMask = w.a.unsafeMask(e.orient)
+	w.wallMask = w.a.unsafeBits[e.orient]
 }
 
 // progressDir returns the blocked progress direction in original

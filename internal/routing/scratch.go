@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"sync"
-
-	"repro/internal/mesh"
-)
+import "repro/internal/mesh"
 
 // Scratch bundles every per-walk buffer of the routing hot path so that a
 // steady-state Route call allocates nothing: the dense visit-count grid
@@ -20,8 +16,8 @@ import (
 //
 // When Options.Scratch is set, the returned Result.Path aliases the
 // scratch's path buffer and is only valid until the scratch's next use —
-// copy it out to keep it. With a nil Options.Scratch, Route borrows a
-// pooled scratch and detaches the path, preserving the old semantics.
+// copy it out to keep it. With a nil Options.Scratch, Route walks on a
+// fresh scratch that only the returned path keeps.
 type Scratch struct {
 	nodes int
 	width int
@@ -192,6 +188,3 @@ func newPlanTable(nodes int) *planTable {
 		onPathGen: make([]uint32, nodes),
 	}
 }
-
-// scratchPool backs Route calls without a caller-provided scratch.
-var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}

@@ -52,7 +52,7 @@ func TestArriveFlipThresholds(t *testing.T) {
 // faulty mask and reports the change; the second is a no-op.
 func TestDowngradeSwitchesWallOnce(t *testing.T) {
 	f := cover12(0)
-	a := NewAnalysis(f).Precompute()
+	a := NewAnalysis(f)
 	opt := Options{Scratch: NewScratch(a.Mesh())}
 	w := a.newWalk(mesh.C(0, 0), mesh.C(11, 11), opt)
 	w.useUnsafeWall(a.envFor(mesh.C(0, 0), mesh.C(11, 11), RB1.Model()))
@@ -92,7 +92,7 @@ func TestDowngradeSwitchesWallOnce(t *testing.T) {
 // valid path and report Downgraded.
 func TestDetourDowngradeDelivers(t *testing.T) {
 	f := cover12(0)
-	a := NewAnalysis(f).Precompute()
+	a := NewAnalysis(f)
 	for _, tc := range []struct {
 		algo Algo
 		s, d mesh.Coord
@@ -127,7 +127,7 @@ func TestWallFlipRecoversOrbit(t *testing.T) {
 		{RB2, 36, mesh.C(4, 6), mesh.C(10, 7)},
 	} {
 		f := cover12(tc.seed)
-		a := NewAnalysis(f).Precompute()
+		a := NewAnalysis(f)
 		res := Route(a, tc.algo, tc.s, tc.d, Options{})
 		if !res.Delivered {
 			t.Fatalf("%v seed %d %v->%v: not delivered (%s)", tc.algo, tc.seed, tc.s, tc.d, res.Abort)
@@ -148,7 +148,7 @@ func TestWallFlipRecoversOrbit(t *testing.T) {
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	for _, seed := range []int64{0, 13, 36, 99} {
 		f := cover12(seed)
-		a := NewAnalysis(f).Precompute()
+		a := NewAnalysis(f)
 		shared := NewScratch(a.Mesh())
 		r := rand.New(rand.NewSource(seed + 1000))
 		for i := 0; i < 40; i++ {
@@ -183,7 +183,7 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts are skewed by race instrumentation")
 	}
 	clean := fault.NewSet(mesh.Square(32))
-	ca := NewAnalysis(clean).Precompute()
+	ca := NewAnalysis(clean)
 	sc := NewScratch(ca.Mesh())
 	warm := func(a *Analysis, s, d mesh.Coord) {
 		Route(a, RB2, s, d, Options{Scratch: sc})
@@ -196,7 +196,7 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 	}
 
 	f := fault.Uniform{}.Generate(mesh.Square(32), 150, rand.New(rand.NewSource(3)))
-	fa := NewAnalysis(f).Precompute()
+	fa := NewAnalysis(f)
 	s, d := mesh.C(0, 0), mesh.C(31, 31)
 	r := rand.New(rand.NewSource(4))
 	for f.Faulty(s) {

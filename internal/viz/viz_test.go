@@ -11,7 +11,7 @@ import (
 
 func TestMapRendersLabelsAndPath(t *testing.T) {
 	m := mesh.Square(5)
-	g := labeling.Compute(fault.FromCoords(m, mesh.C(2, 2)), labeling.BorderSafe)
+	g := labeling.Compute(fault.FromCoords(m, mesh.C(2, 2)))
 	out := NewMap(m).Labels(g).Path([]mesh.Coord{mesh.C(0, 0), mesh.C(1, 0), mesh.C(1, 1)}).String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 5 || len(lines[0]) != 5 {
@@ -29,7 +29,7 @@ func TestMapRendersLabelsAndPath(t *testing.T) {
 func TestLabelGlyphs(t *testing.T) {
 	m := mesh.Square(8)
 	// Anti-diagonal pair creating useless and can't-reach nodes.
-	g := labeling.Compute(fault.FromCoords(m, mesh.C(4, 5), mesh.C(5, 4)), labeling.BorderSafe)
+	g := labeling.Compute(fault.FromCoords(m, mesh.C(4, 5), mesh.C(5, 4)))
 	out := NewMap(m).Labels(g).String()
 	if !strings.Contains(out, "u") || !strings.Contains(out, "c") {
 		t.Errorf("labels missing:\n%s", out)

@@ -51,7 +51,8 @@
 // internal/server): a multi-mesh registry where each mesh is one Network,
 // route and streaming-batch endpoints, and fault transactions mapping
 // onto Apply. NewWithEngineOptions plumbs serving concerns — a metrics
-// hook, the oracle-cache bound — into the engine underneath a Network.
+// hook, a commit observer, the information models to build — into the
+// engine underneath a Network.
 //
 // # Concurrency
 //
@@ -290,7 +291,7 @@ func finishResponse(snap *engine.Snapshot, cfg routeConfig, s, d Coord, res engi
 	if !res.Delivered {
 		return RouteResponse{}, &ErrAborted{
 			Algorithm: cfg.algo, Src: s, Dst: d,
-			Reason: res.Abort, Hops: len(res.Path) - 1, Path: res.Path,
+			Reason: res.Abort, Hops: max(len(res.Path)-1, 0), Path: res.Path,
 			WallFlips: res.WallFlips, Downgraded: res.Downgraded,
 		}
 	}
@@ -333,7 +334,8 @@ func (n *Network) Analysis() *routing.Analysis {
 func (n *Network) MCCs() []*mcc.MCC { return n.Analysis().MCCs(mesh.NE).All() }
 
 // InfoStore returns the information model for the canonical orientation;
-// useful for inspecting propagation cost.
+// useful for inspecting propagation cost. It is nil when the network's
+// engine was built without the model (engine.Options.Models).
 func (n *Network) InfoStore(m info.Model) *info.Store {
 	return n.Analysis().Store(m, mesh.NE)
 }
