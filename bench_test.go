@@ -244,12 +244,11 @@ func BenchmarkRouteRB2(b *testing.B) {
 
 // BenchmarkRouteRB2Scratch is BenchmarkRouteRB2 with one caller-owned
 // scratch reused across the pair cycle, as a pinned batch worker routes.
-// It is not allocation-free: RB2's planner builds a fresh mcc.Sequence
-// with a copied chain for every blocking chain it certifies
-// (mcc.(*Set).findAxis). On a 2-CPU x86-64 Linux VM that is 33 allocs/op
-// (18 KB) at -benchtime 50x and 39 allocs/op (3 KB) at 640x; the extra
-// bytes at 50x are the scratch's plan tables growing on the first pass
-// over the pairs.
+// Walks that plan detours allocate nothing too: the finder writes every
+// certified blocking chain into one of the scratch's sequence buffers.
+// On a 2-CPU x86-64 Linux VM it reads 0 allocs/op at -benchtime 640x; its
+// ~1.3 KB/op is the scratch's plan tables and sequence buffers growing
+// during the first pass over the pairs.
 func BenchmarkRouteRB2Scratch(b *testing.B) {
 	benchEngine(b)
 	a := benchFix.eng.Snapshot().Analysis()

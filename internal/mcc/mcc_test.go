@@ -254,10 +254,12 @@ func TestFreeGapPairNeverBlocks(t *testing.T) {
 }
 
 // The headline geometric property: FindSequence returns a sequence exactly
-// when no Manhattan path over safe nodes exists.
+// when no Manhattan path over safe nodes exists. (On fields this small the
+// search never exhausts seqCandidateBudget, the one exception.)
 func TestFindSequenceIffManhattanBlocked(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	blockedCases := 0
+	seq := new(Sequence) // reused, as the routing scratch reuses its buffers
 	for trial := 0; trial < 60; trial++ {
 		m := mesh.Square(18)
 		g := labeling.Compute(fault.Uniform{}.Generate(m, 10+r.Intn(50), r))
@@ -269,12 +271,12 @@ func TestFindSequenceIffManhattanBlocked(t *testing.T) {
 				continue
 			}
 			dpBlocked := !monotoneReach(u, d, g.Unsafe)
-			seq := s.FindSequence(u, d)
-			if dpBlocked != (seq != nil) {
+			found := s.FindSequence(u, d, seq)
+			if dpBlocked != found {
 				t.Fatalf("trial %d u=%v d=%v: dpBlocked=%v sequence=%v",
 					trial, u, d, dpBlocked, seq)
 			}
-			if seq != nil {
+			if found {
 				blockedCases++
 				// A claimed sequence must itself block: DP over its cells only.
 				chainObstacle := func(c mesh.Coord) bool {
@@ -326,8 +328,8 @@ func TestSequenceCorners(t *testing.T) {
 	// Two interlocked single cells (5,5) and (6,6) form a 2-chain for
 	// u=(5,4), d=(6,7).
 	s := extract(t, mesh.Square(12), mesh.C(5, 5), mesh.C(6, 6))
-	seq := s.FindSequence(mesh.C(5, 4), mesh.C(6, 7))
-	if seq == nil || len(seq.Chain) != 2 || seq.Axis != AxisY {
+	seq := new(Sequence)
+	if !s.FindSequence(mesh.C(5, 4), mesh.C(6, 7), seq) || len(seq.Chain) != 2 || seq.Axis != AxisY {
 		t.Fatalf("sequence = %+v", seq)
 	}
 }
@@ -337,8 +339,8 @@ func TestTypeIISequence(t *testing.T) {
 	// u=(4,5)... that's the same diagonal; build a clear type-II case:
 	// cells (5,5),(5,6) as one column component; u west, d east.
 	s := extract(t, mesh.Square(12), mesh.C(5, 5), mesh.C(5, 6))
-	seq := s.FindSequence(mesh.C(4, 5), mesh.C(6, 6))
-	if seq == nil || seq.Axis != AxisX {
+	seq := new(Sequence)
+	if !s.FindSequence(mesh.C(4, 5), mesh.C(6, 6), seq) || seq.Axis != AxisX {
 		t.Fatalf("want type-II sequence, got %+v", seq)
 	}
 }

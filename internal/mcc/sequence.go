@@ -32,10 +32,18 @@ import (
 // minimal corners, with one extra pruning rule (a free line strictly
 // between consecutive spans always opens the corridor, because a monotone
 // path below the first component can rise without bound there) — and
-// *certify* every completed chain with an exact monotone dynamic program
-// over the union of its cells from the actual u to the actual d. Certified
-// chains are blocking sequences by construction; the property tests pin
-// FindSequence != nil exactly to "no Manhattan path over safe nodes".
+// *certify* every completed chain with an exact monotone reachability
+// sweep over the union of its cells from the actual u to the actual d
+// (see sweeper). Certified chains are blocking sequences by construction.
+// Before searching, FindSequence runs the same sweep over every component:
+// when a monotone path over safe nodes exists it avoids every chain, so no
+// chain can certify and the search is skipped. The search itself gives up
+// after seqCandidateBudget certifications per axis, so FindSequence
+// reports no sequence either when a Manhattan path over safe nodes exists
+// or when the budget ran out. The property tests pin "no sequence iff a
+// Manhattan path" on fields up to 35x35, where the budget is never
+// reached; FindSequence's doc gives how often it runs out on the
+// benchmark fixture.
 
 // Sequence is one blocking sequence with its axis.
 type Sequence struct {
@@ -50,77 +58,120 @@ type Sequence struct {
 // monotone path from u to d — the certification used during construction,
 // exported for tests and for the routing layer's sanity checks.
 func (q *Sequence) Blocks(u, d mesh.Coord) bool {
-	return chainBlocks(u, d, q.Chain, nil)
+	var sw sweeper
+	return !sw.reach(u, d, q.Chain, nil)
 }
 
-// chainBlocks is Blocks over a raw chain slice, with an optional reusable
-// DP buffer — findAxis certifies candidate chains in place without
-// materializing a Sequence per attempt.
-func chainBlocks(u, d mesh.Coord, chain []*MCC, buf *[]bool) bool {
-	return !monotoneReachBuf(u, d, func(c mesh.Coord) bool {
-		for _, f := range chain {
-			if f.Contains(c) {
-				return true
+// span is a closed interval [lo, hi] of rows in one column.
+type span struct{ lo, hi int }
+
+// sweeper decides monotone reachability column by column. Every component
+// occupies one interval [ColLo, ColHi] per column, and distinct components
+// of a Set never touch, so inside the u-d rectangle the rows that u
+// reaches by +X/+Y moves form at most k+1 disjoint intervals in a column
+// that k components cross. Each column's intervals follow from the
+// previous column's by a two-pointer merge with the column's blocked
+// intervals: O(columns x k) instead of the O(area) per-cell dynamic
+// program, which the tests keep as the oracle.
+type sweeper struct {
+	// cur holds the reachable rows of the last swept column (n
+	// intervals, ascending); next is the merge target, swapped in after
+	// each column; blocked holds the current column's blocked intervals,
+	// ascending.
+	cur, next, blocked []span
+	n                  int
+}
+
+// reach reports whether a path of +X/+Y moves joins u to d inside their
+// rectangle without entering a blocked cell. The blocked cells of column
+// x are those of the components in lines[x] (ordered by ascending low
+// row, as Set.lines[AxisY] is) or, when lines is nil, of chain's
+// components in any order. The pair must be dominated (u.X <= d.X,
+// u.Y <= d.Y); otherwise reach reports false.
+//
+//meshlint:hotpath
+func (sw *sweeper) reach(u, d mesh.Coord, chain []*MCC, lines [][]*MCC) bool {
+	if u.X > d.X || u.Y > d.Y {
+		return false
+	}
+	// Rows lo..hi hold at most (hi-lo+2)/2 pairwise separated intervals,
+	// and one more reachable interval than blocked ones.
+	if need := (d.Y-u.Y)/2 + 2; cap(sw.cur) < need {
+		sw.grow(need)
+	}
+	// Seed a virtual column u.X-1 whose only reachable row is u's: the
+	// first column then reaches up from u.Y inside u's free segment.
+	sw.cur[0], sw.n = span{u.Y, u.Y}, 1
+	for x := u.X; x <= d.X; x++ {
+		list := chain
+		if lines != nil {
+			list = lines[x]
+		}
+		if !sw.advance(sw.column(list, x, u.Y, d.Y), u.Y, d.Y) {
+			return false
+		}
+	}
+	return sw.cur[sw.n-1].hi == d.Y
+}
+
+// grow sizes the buffers for n intervals (cold: FindSequence's pooled
+// sweepers are sized for the whole mesh up front).
+func (sw *sweeper) grow(n int) {
+	sw.cur, sw.next, sw.blocked = make([]span, n), make([]span, n), make([]span, n)
+}
+
+// column fills sw.blocked with the intervals that list's components
+// occupy in column x, clipped to the rows lo..hi, in ascending order, and
+// returns their count. An insertion sort keeps the order: chains are a
+// handful of components, and Set.lines lists arrive sorted.
+//
+//meshlint:hotpath
+func (sw *sweeper) column(list []*MCC, x, lo, hi int) int {
+	nb := 0
+	for _, f := range list {
+		i := x - f.X0
+		if uint(i) >= uint(len(f.ColLo)) || f.ColHi[i] < lo || f.ColLo[i] > hi {
+			continue
+		}
+		b, j := span{f.ColLo[i], f.ColHi[i]}, nb
+		for ; j > 0 && sw.blocked[j-1].lo > b.lo; j-- {
+			sw.blocked[j] = sw.blocked[j-1]
+		}
+		sw.blocked[j] = b
+		nb++
+	}
+	return nb
+}
+
+// advance replaces the previous column's reachable rows with column x's,
+// given its nb blocked intervals: in every free segment of rows lo..hi,
+// the reachable rows run from the lowest row entered from the west (a row
+// reachable in the previous column) to the segment's top. It reports
+// whether any row of the column is reachable.
+//
+//meshlint:hotpath
+func (sw *sweeper) advance(nb, lo, hi int) bool {
+	out, i, s := 0, 0, lo
+	for k := 0; k <= nb; k++ {
+		e := hi
+		if k < nb {
+			e = sw.blocked[k].lo - 1
+		}
+		if s <= e {
+			for i < sw.n && sw.cur[i].hi < s {
+				i++
+			}
+			if i < sw.n && sw.cur[i].lo <= e {
+				sw.next[out] = span{max(sw.cur[i].lo, s), e}
+				out++
 			}
 		}
-		return false
-	}, buf)
-}
-
-// monotoneReachBuf reports whether a path using only +X/+Y moves connects
-// u to d without entering cells where obstacle returns true: the exact
-// oracle behind blocking decisions, at O(area of the u-d rectangle). The
-// DP buffer is optional and grown as needed; every cell is written, so no
-// clearing between uses.
-func monotoneReachBuf(u, d mesh.Coord, obstacle func(mesh.Coord) bool, buf *[]bool) bool {
-	if u.X > d.X || u.Y > d.Y || obstacle(u) || obstacle(d) {
-		return false
-	}
-	w, h := d.X-u.X+1, d.Y-u.Y+1
-	var reach []bool
-	if buf != nil {
-		if cap(*buf) < w*h {
-			*buf = make([]bool, w*h)
-		}
-		reach = (*buf)[:w*h]
-	} else {
-		reach = make([]bool, w*h)
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			v := false
-			if !obstacle(mesh.C(u.X+x, u.Y+y)) {
-				switch {
-				case x == 0 && y == 0:
-					v = true
-				case x == 0:
-					v = reach[(y-1)*w+x]
-				case y == 0:
-					v = reach[y*w+x-1]
-				default:
-					v = reach[y*w+x-1] || reach[(y-1)*w+x]
-				}
-			}
-			reach[y*w+x] = v
+		if k < nb {
+			s = sw.blocked[k].hi + 1
 		}
 	}
-	return reach[(h-1)*w+w-1]
-}
-
-// candidatesAbove appends to dst the components whose forbidden region
-// along a contains u, in ascending order of first-hit distance — the order
-// the paper's "+Y detection ray" would encounter them.
-func (s *Set) candidatesAbove(u mesh.Coord, a Axis, dst []*MCC) []*MCC {
-	// The index is ordered by ascending low depth at u's line; components
-	// whose interval starts beyond u are exactly those with u in their
-	// forbidden region.
-	p, _ := a.Split(u)
-	for _, f := range s.Along(a, p) {
-		if f.InForbidden(a, u) {
-			dst = append(dst, f)
-		}
-	}
-	return dst
+	sw.cur, sw.next, sw.n = sw.next, sw.cur, out
+	return out > 0
 }
 
 // extent is what the successor relation reads of one component along an
@@ -167,36 +218,58 @@ func (s *Set) IsSuccessor(a Axis, pred, succ *MCC) bool {
 
 // FindSequence identifies the closest blocking sequence for a routing from
 // u to d in canonical orientation (u dominated by d, both safe), per
-// Equations 1, 4, and 5. It returns nil when no sequence blocks — by the
-// region theory, exactly when a Manhattan path exists.
+// Equations 1, 4, and 5, and writes it into dst, reusing dst.Chain's
+// backing array. It reports false, leaving dst unspecified, when no
+// sequence is found: always when a Manhattan path over safe nodes exists
+// (a sweep over every component decides that before any chain search),
+// but also when the search spends seqCandidateBudget certifications on
+// both axes without certifying a chain. So false does not mean "a
+// Manhattan path exists" exactly. On the benchmark fixture (100x100,
+// 1500 faults, meshbench's 1024 uniform pairs), 81 of the 193,907 calls
+// of the RB2 walks have both endpoints safe, no safe monotone path, and
+// exhaust the budget; they fall in 3 walks, one of which ends longer
+// than the shortest path.
 //
 // Both axes are tried; the paper shows safe endpoints can be blocked by at
 // most one type.
-func (s *Set) FindSequence(u, d mesh.Coord) *Sequence {
-	for _, a := range Axes {
-		if seq := s.findAxis(u, d, a); seq != nil {
-			return seq
-		}
-	}
-	return nil
+//
+//meshlint:hotpath
+func (s *Set) FindSequence(u, d mesh.Coord, dst *Sequence) bool {
+	sc := s.seqScratchFor()
+	found := !sc.sweep.reach(u, d, nil, s.lines[AxisY]) &&
+		(sc.findAxis(s, u, d, AxisY, dst) || sc.findAxis(s, u, d, AxisX, dst))
+	seqScratchPool.Put(sc)
+	return found
 }
 
-// seqCandidateBudget bounds how many structurally complete chains one query
-// certifies before giving up. Dead ends are memoized, so the bound only
-// limits pathological cases; the equivalence tests run far below it.
+// seqCandidateBudget bounds how many structurally complete chains one
+// query certifies per axis before giving up. Dead ends are memoized, so
+// the bound only limits long searches: the small-field equivalence tests
+// run far below it, and FindSequence's doc gives how often it binds on
+// the benchmark fixture.
 const seqCandidateBudget = 256
 
-// seqScratch bundles the reusable buffers of one findAxis invocation: the
+// seqScratch bundles the reusable state of one FindSequence call: the
 // per-component dead-end and on-chain marks (indexed by MCC ID), the DFS
-// chain, the seed list, and the certification DP grid. Pooled so the
-// routing hot path — which calls FindSequence every hop of a planned
-// leg — allocates nothing at steady state.
+// chain, the sweeper that certifies chains and decides the safe-path
+// shortcut, and the running search's query. Pooled so the routing hot
+// path — which calls FindSequence on every hop of a destination leg and
+// at every planner node — allocates nothing at steady state.
 type seqScratch struct {
 	deadEnd []bool
 	onChain []bool
-	chain   []*MCC
-	seeds   []*MCC
-	reach   []bool
+	// chain has capacity len(set.All()): the onChain marks keep every
+	// component on it at most once.
+	chain []*MCC
+	sweep sweeper
+
+	// The query of the running findAxis: dfs reads it, and findAxis
+	// clears set and dst on return, so a pooled scratch pins no Set.
+	set    *Set
+	dst    *Sequence
+	u, d   mesh.Coord
+	a      Axis
+	budget int
 }
 
 // seqScratchPool is package-wide rather than per Set: a pool inside a
@@ -205,7 +278,8 @@ type seqScratch struct {
 // borrow their own buffers.
 var seqScratchPool sync.Pool
 
-// seqScratchFor fetches a scratch from the pool, sized for this set.
+// seqScratchFor fetches a scratch from the pool, sized for this set: the
+// sweeper for the tallest rectangle of the mesh, so that no query grows it.
 func (s *Set) seqScratchFor() *seqScratch {
 	sc, _ := seqScratchPool.Get().(*seqScratch)
 	if sc == nil {
@@ -214,74 +288,85 @@ func (s *Set) seqScratchFor() *seqScratch {
 	if len(sc.deadEnd) < len(s.all) {
 		sc.deadEnd = make([]bool, len(s.all))
 		sc.onChain = make([]bool, len(s.all))
-	} else {
-		clear(sc.deadEnd[:len(s.all)])
-		clear(sc.onChain[:len(s.all)])
+		sc.chain = make([]*MCC, 0, len(s.all))
 	}
-	sc.chain = sc.chain[:0]
-	sc.seeds = sc.seeds[:0]
+	if need := s.grid.Mesh().Height()/2 + 2; cap(sc.sweep.cur) < need {
+		sc.sweep.grow(need)
+	}
 	return sc
 }
 
-// findAxis searches for a blocking chain with a depth-first walk over the
-// successor relation in Equation 4 preference order, certifying each
-// structurally complete chain with the monotone DP. Structural dead ends
-// (components from which no completion is reachable) are memoized; DP
-// rejections are not memoizable (they depend on the whole chain) and
-// consume the candidate budget instead.
-func (s *Set) findAxis(u, d mesh.Coord, a Axis) *Sequence {
-	sc := s.seqScratchFor()
-	defer seqScratchPool.Put(sc)
-	sc.seeds = s.candidatesAbove(u, a, sc.seeds)
-	if len(sc.seeds) == 0 {
-		return nil
+// findAxis searches for a blocking chain along a with a depth-first walk
+// over the successor relation in Equation 4 preference order, certifying
+// each structurally complete chain with the sweep, and copies the first
+// certified chain into dst. Structural dead ends (components from which
+// no completion is reachable) are memoized; sweep rejections are not
+// memoizable (they depend on the whole chain) and consume the candidate
+// budget instead.
+//
+//meshlint:hotpath
+func (sc *seqScratch) findAxis(s *Set, u, d mesh.Coord, a Axis, dst *Sequence) bool {
+	clear(sc.deadEnd[:len(s.all)])
+	sc.set, sc.dst, sc.u, sc.d, sc.a, sc.budget = s, dst, u, d, a, seqCandidateBudget
+	found := false
+	// Seeds: the components whose forbidden region along a contains u, in
+	// the order the paper's "+Y detection ray" meets them. The line index
+	// is ordered by ascending low depth at u's line, so that is its order.
+	p, _ := a.Split(u)
+	for _, f := range s.Along(a, p) {
+		if f.InForbidden(a, u) && sc.dfs(f) {
+			found = true
+			break
+		}
 	}
-	budget := seqCandidateBudget
-	var result *Sequence
-	var dfs func(f *MCC) bool
-	dfs = func(f *MCC) bool {
-		if sc.deadEnd[f.ID] || sc.onChain[f.ID] || budget <= 0 {
-			return false
-		}
-		sc.chain = append(sc.chain, f)
-		sc.onChain[f.ID] = true
-		defer func() {
-			sc.chain = sc.chain[:len(sc.chain)-1]
-			sc.onChain[f.ID] = false
-		}()
-		completed := false
-		if f.InCritical(a, d) {
-			completed = true
-			budget--
-			if chainBlocks(u, d, sc.chain, &sc.reach) {
-				// Materialize the Sequence only for the one certified chain;
-				// rejected candidates never leave the scratch.
-				result = &Sequence{Chain: append([]*MCC(nil), sc.chain...), Axis: a}
-				return true
-			}
-		}
-		// Extend while d is not underneath the chain: if d sits in f's
-		// forbidden region, any monotone path ends below f and no longer
-		// chain through f can block d from above.
-		if !f.InForbidden(a, d) {
-			for _, g := range s.succ[a][f.ID] {
-				if dfs(g) {
-					return true
-				}
-				if !sc.deadEnd[g.ID] {
-					completed = true // g reached completions; they failed DP
-				}
-			}
-		}
-		if !completed {
-			sc.deadEnd[f.ID] = true
-		}
+	sc.set, sc.dst = nil, nil
+	return found
+}
+
+// dfs puts f on the chain: it certifies the chain when f reaches d's
+// critical region, copying a certified chain into sc.dst, and otherwise
+// extends it through f's successors in preference order. When no
+// completion is reachable from f, it marks f a dead end.
+//
+//meshlint:hotpath
+func (sc *seqScratch) dfs(f *MCC) bool {
+	if sc.deadEnd[f.ID] || sc.onChain[f.ID] || sc.budget <= 0 {
 		return false
 	}
-	for _, seed := range sc.seeds {
-		if dfs(seed) {
-			return result
+	n := len(sc.chain)
+	sc.chain = sc.chain[:n+1]
+	sc.chain[n] = f
+	sc.onChain[f.ID] = true
+	defer func() {
+		sc.chain = sc.chain[:n]
+		sc.onChain[f.ID] = false
+	}()
+	a, completed := sc.a, false
+	if f.InCritical(a, sc.d) {
+		completed = true
+		sc.budget--
+		if !sc.sweep.reach(sc.u, sc.d, sc.chain, nil) {
+			// Only the certified chain leaves the scratch.
+			sc.dst.Chain = append(sc.dst.Chain[:0], sc.chain...)
+			sc.dst.Axis = a
+			return true
 		}
 	}
-	return nil
+	// Extend while d is not underneath the chain: if d sits in f's
+	// forbidden region, any monotone path ends below f and no longer
+	// chain through f can block d from above.
+	if !f.InForbidden(a, sc.d) {
+		for _, g := range sc.set.succ[a][f.ID] {
+			if sc.dfs(g) {
+				return true
+			}
+			if !sc.deadEnd[g.ID] {
+				completed = true // g reached completions; they failed the sweep
+			}
+		}
+	}
+	if !completed {
+		sc.deadEnd[f.ID] = true
+	}
+	return false
 }

@@ -17,6 +17,7 @@ func TestStressSequenceEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(77777))
 	blocked := 0
 	total := 0
+	seq := new(Sequence) // reused, as the routing scratch reuses its buffers
 	for trial := 0; trial < 150; trial++ {
 		n := 10 + r.Intn(26)
 		m := mesh.Square(n)
@@ -34,11 +35,11 @@ func TestStressSequenceEquivalence(t *testing.T) {
 			}
 			total++
 			dpBlocked := !monotoneReach(u, d, g.Unsafe)
-			seq := s.FindSequence(u, d)
-			if dpBlocked != (seq != nil) {
-				t.Fatalf("trial %d n=%d density=%d u=%v d=%v: dpBlocked=%v seq=%v", trial, n, density, u, d, dpBlocked, seq != nil)
+			found := s.FindSequence(u, d, seq)
+			if dpBlocked != found {
+				t.Fatalf("trial %d n=%d density=%d u=%v d=%v: dpBlocked=%v seq=%v", trial, n, density, u, d, dpBlocked, found)
 			}
-			if seq != nil {
+			if found {
 				blocked++
 				obstacle := func(c mesh.Coord) bool {
 					for _, f := range seq.Chain {

@@ -32,8 +32,10 @@ import (
 
 // seqFinder abstracts how a node identifies the closest blocking sequence:
 // RB2 queries the full geometry (model B2 floods every forbidden region),
-// RB3 reconstructs from boundary relation records (Equation 5).
-type seqFinder func(e env, cu, cd mesh.Coord) *mcc.Sequence
+// RB3 reconstructs from boundary relation records (Equation 5). A finder
+// writes the sequence into dst, a buffer of the walk's Scratch, and
+// reports whether one blocks.
+type seqFinder func(e env, cu, cd mesh.Coord, dst *mcc.Sequence) bool
 
 // planResult carries Equation 2's value and the pivot chain of the chosen
 // option (Equation 3 contributes at most two pivots).
@@ -124,8 +126,8 @@ func (p *planner) dist(x mesh.Coord) (int, bool) {
 		p.memoPut(xi, d, ok)
 		return d, ok
 	}
-	seq := p.find(p.e, x, p.cd)
-	if seq == nil {
+	seq := &p.sc.seqs[p.sc.planDepth+1]
+	if !p.find(p.e, x, p.cd, seq) {
 		return x.Manhattan(p.cd), true
 	}
 	p.tbl.onPathGen[xi] = p.gen
@@ -190,8 +192,8 @@ func (p *planner) plan(cu mesh.Coord, seq *mcc.Sequence) planResult {
 // query of package mcc is exactly what the node can compute.
 //
 //meshlint:hotpath
-func findSequenceFull(e env, cu, cd mesh.Coord) *mcc.Sequence {
-	return e.set.FindSequence(cu, cd)
+func findSequenceFull(e env, cu, cd mesh.Coord, dst *mcc.Sequence) bool {
+	return e.set.FindSequence(cu, cd, dst)
 }
 
 // findSequenceB3 is RB3's finder: sequences are reconstructed from the
@@ -201,42 +203,47 @@ func findSequenceFull(e env, cu, cd mesh.Coord) *mcc.Sequence {
 // sub-optimality that Figure 5(d) quantifies.
 //
 //meshlint:hotpath
-func findSequenceB3(e env, cu, cd mesh.Coord) *mcc.Sequence {
+func findSequenceB3(e env, cu, cd mesh.Coord, dst *mcc.Sequence) bool {
 	if !e.store.HasInfo(cu) {
-		return nil
-	}
-	// Seeds: components whose triples are present at cu and whose extended
-	// forbidden region contains cu (Equation 5's F(alpha) test).
-	var bestSeq *mcc.Sequence
-	for _, tr := range e.store.TriplesAt(cu) {
-		seq := chainFromRelations(e, tr.F, tr.Kind.Axis(), cu, cd)
-		if seq != nil && (bestSeq == nil || len(seq.Chain) < len(bestSeq.Chain)) {
-			bestSeq = seq
-		}
-	}
-	return bestSeq
-}
-
-// chainFromRelations follows recorded succeeding-MCC relations along axis
-// a from a seed component until one covers the destination's line from
-// below, per Equations 4/5. Unlike RB2's geometric search it cannot
-// certify the chain with a DP — the node only has the records — so false
-// positives cause detours that the evaluation measures.
-//
-//meshlint:hotpath
-func chainFromRelations(e env, seed *mcc.MCC, a mcc.Axis, cu, cd mesh.Coord) *mcc.Sequence {
-	if !seed.InForbidden(a, cu) {
-		return nil
+		return false
 	}
 	// The working chain lives in a small stack buffer: most calls fail
 	// (no recorded chain reaches the destination's critical region), and
 	// the failure path must not allocate — this runs once per planner
-	// node evaluation. Membership is a linear scan over the chain built
-	// so far (chains are a handful of components), replacing the
-	// per-call dedup map. Only an identified sequence is copied out: it
-	// escapes into the plan.
+	// node evaluation. Only a shorter identified chain is copied out,
+	// into dst, so the first of the shortest wins.
 	var buf [8]*mcc.MCC
-	chain := append(buf[:0], seed)
+	found := false
+	// Seeds: components whose triples are present at cu and whose extended
+	// forbidden region contains cu (Equation 5's F(alpha) test).
+	for _, tr := range e.store.TriplesAt(cu) {
+		a := tr.Kind.Axis()
+		chain := chainFromRelations(e, tr.F, a, cu, cd, buf[:0])
+		if chain != nil && (!found || len(chain) < len(dst.Chain)) {
+			dst.Chain = append(dst.Chain[:0], chain...)
+			dst.Axis = a
+			found = true
+		}
+	}
+	return found
+}
+
+// chainFromRelations follows recorded succeeding-MCC relations along axis
+// a from a seed component until one covers the destination's line from
+// below, per Equations 4/5, building the chain in chain's backing array.
+// It returns the chain, or nil when the records identify none. Unlike
+// RB2's geometric search it cannot certify the chain — the node only has
+// the records — so false positives cause detours that the evaluation
+// measures.
+//
+//meshlint:hotpath
+func chainFromRelations(e env, seed *mcc.MCC, a mcc.Axis, cu, cd mesh.Coord, chain []*mcc.MCC) []*mcc.MCC {
+	if !seed.InForbidden(a, cu) {
+		return nil
+	}
+	// Membership is a linear scan over the chain built so far (chains are
+	// a handful of components), replacing the per-call dedup map.
+	chain = append(chain[:0], seed)
 	onChain := func(id int) bool {
 		for _, f := range chain {
 			if f.ID == id {
@@ -248,7 +255,7 @@ func chainFromRelations(e env, seed *mcc.MCC, a mcc.Axis, cu, cd mesh.Coord) *mc
 	cur := seed
 	for range e.set.All() {
 		if cur.InCritical(a, cd) {
-			return &mcc.Sequence{Chain: append([]*mcc.MCC(nil), chain...), Axis: a} //meshlint:allow the identified sequence escapes into the plan; one copy per successful identification
+			return chain
 		}
 		if cur.InForbidden(a, cd) {
 			return nil // destination is underneath the chain
@@ -267,7 +274,7 @@ func chainFromRelations(e env, seed *mcc.MCC, a mcc.Axis, cu, cd mesh.Coord) *mc
 		if next == nil {
 			return nil
 		}
-		chain = append(chain, next) //meshlint:allow spills past the 8-component stack buffer only for pathologically long chains
+		chain = append(chain, next) //meshlint:allow spills past the caller's 8-component stack buffer only for pathologically long chains
 		cur = next
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/info"
+	"repro/internal/mcc"
 	"repro/internal/mesh"
 	"repro/internal/spath"
 )
@@ -25,8 +26,8 @@ func TestPlannerSingleComponentOptions(t *testing.T) {
 	a, e := planEnv(t, info.B2, mesh.C(5, 5))
 	_ = a
 	u, d := mesh.C(5, 3), mesh.C(5, 8)
-	seq := findSequenceFull(e, u, d)
-	if seq == nil {
+	seq := new(mcc.Sequence)
+	if !findSequenceFull(e, u, d, seq) {
 		t.Fatal("no sequence for the straight-through pair")
 	}
 	pl := newPlanner(a, info.B2, e, findSequenceFull, d, NewScratch(a.Mesh()))
@@ -51,8 +52,8 @@ func TestPlannerChainSqueeze(t *testing.T) {
 	// u->(4,4): 1+0... M((5,4),(4,4))=1, M((4,4),(6,7))=2+3=5 -> 6.
 	a, e := planEnv(t, info.B2, mesh.C(5, 5), mesh.C(6, 6))
 	u, d := mesh.C(5, 4), mesh.C(6, 7)
-	seq := findSequenceFull(e, u, d)
-	if seq == nil || len(seq.Chain) != 2 {
+	seq := new(mcc.Sequence)
+	if !findSequenceFull(e, u, d, seq) || len(seq.Chain) != 2 {
 		t.Fatalf("sequence = %+v", seq)
 	}
 	pl := newPlanner(a, info.B2, e, findSequenceFull, d, NewScratch(a.Mesh()))
@@ -74,8 +75,8 @@ func TestPlannerRecursiveMultiphase(t *testing.T) {
 		mesh.C(5, 5),
 		mesh.C(3, 8), mesh.C(4, 8), mesh.C(5, 8), mesh.C(6, 8))
 	u, d := mesh.C(5, 3), mesh.C(5, 11)
-	seq := findSequenceFull(e, u, d)
-	if seq == nil {
+	seq := new(mcc.Sequence)
+	if !findSequenceFull(e, u, d, seq) {
 		t.Fatal("no sequence")
 	}
 	pl := newPlanner(a, info.B2, e, findSequenceFull, d, NewScratch(a.Mesh()))
@@ -102,14 +103,15 @@ func TestB3FinderGatedByBoundaryInfo(t *testing.T) {
 	if e.store.HasInfo(mesh.C(1, 1)) {
 		t.Skip("node unexpectedly informed; adjust test coordinates")
 	}
-	if seq := findSequenceB3(e, mesh.C(1, 1), mesh.C(9, 9)); seq != nil {
+	seq := new(mcc.Sequence)
+	if findSequenceB3(e, mesh.C(1, 1), mesh.C(9, 9), seq) {
 		t.Error("uninformed node identified a sequence")
 	}
 	// A node on the -X boundary line below the corner can.
 	if !e.store.HasInfo(mesh.C(4, 2)) {
 		t.Fatal("boundary node has no info")
 	}
-	if seq := findSequenceB3(e, mesh.C(4, 2), mesh.C(5, 8)); seq != nil {
+	if findSequenceB3(e, mesh.C(4, 2), mesh.C(5, 8), seq) {
 		// (4,2) is on the boundary column: moving +X enters the shadow; but
 		// the node itself is not in the forbidden region, so no sequence
 		// should be identified for it...
@@ -137,8 +139,8 @@ func TestPlannerUnusableCornersFallback(t *testing.T) {
 	_ = d
 	// Blocked pair: u west of the wall at row 0..1, d east.
 	ub, db := mesh.C(3, 0), mesh.C(8, 0)
-	seq := findSequenceFull(e, ub, db)
-	if seq == nil {
+	seq := new(mcc.Sequence)
+	if !findSequenceFull(e, ub, db, seq) {
 		t.Fatal("no sequence for border wall")
 	}
 	pl := newPlanner(a, info.B2, e, findSequenceFull, db, NewScratch(a.Mesh()))

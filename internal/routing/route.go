@@ -449,7 +449,7 @@ func (a *Analysis) routePlanned(s, d mesh.Coord, opt Options, model info.Model, 
 		// already part of a plan. The replan guard limits in-place loops
 		// (it resets on every actual movement).
 		if find != nil && target == d && replans < 4 {
-			if seq := find(e, cu, ct); seq != nil {
+			if seq := &opt.Scratch.seqs[0]; find(e, cu, ct, seq) {
 				pl := newPlanner(a, model, e, find, ct, opt.Scratch)
 				if plan := pl.plan(cu, seq); plan.ok {
 					replans++

@@ -1,6 +1,9 @@
 package routing
 
-import "repro/internal/mesh"
+import (
+	"repro/internal/mcc"
+	"repro/internal/mesh"
+)
 
 // Scratch bundles every per-walk buffer of the routing hot path so that a
 // steady-state Route call allocates nothing: the dense visit-count grid
@@ -41,6 +44,15 @@ type Scratch struct {
 	planTables []*planTable
 	planLevel  int
 	planDepth  int
+
+	// seqs are the blocking-sequence buffers the finders fill: seqs[0]
+	// for the walk's own query, seqs[k+1] for a planner node evaluated at
+	// planDepth k (at most maxPlanDepth). A planner's options iterate
+	// their sequence's chain while deeper evaluations run the finder, so
+	// each depth owns one. Between walks they keep a few components of
+	// the last analysis reachable; components reference no Set, so a
+	// pooled scratch still pins no retired analysis.
+	seqs [maxPlanDepth + 2]mcc.Sequence
 
 	// path backs Result.Path across walks; it doubles as the arrival log
 	// the walk appends to.

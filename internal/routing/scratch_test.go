@@ -174,10 +174,9 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 }
 
 // TestRouteSteadyStateAllocs asserts the hot path's allocation contract:
-// with a warm scratch, an unblocked walk allocates nothing, and a walk
-// through heavy fault density stays within a small constant (the only
-// remaining allocations are the certified blocking-sequence records the
-// planner consumes).
+// with a warm scratch, an unblocked walk allocates nothing, and neither
+// do RB2 and RB3 walks whose planners certify blocking sequences: the
+// finders fill the scratch's sequence buffers.
 func TestRouteSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed by race instrumentation")
@@ -185,30 +184,35 @@ func TestRouteSteadyStateAllocs(t *testing.T) {
 	clean := fault.NewSet(mesh.Square(32))
 	ca := NewAnalysis(clean)
 	sc := NewScratch(ca.Mesh())
-	warm := func(a *Analysis, s, d mesh.Coord) {
-		Route(a, RB2, s, d, Options{Scratch: sc})
-	}
-	warm(ca, mesh.C(1, 1), mesh.C(30, 29))
+	Route(ca, RB2, mesh.C(1, 1), mesh.C(30, 29), Options{Scratch: sc})
 	if avg := testing.AllocsPerRun(50, func() {
 		Route(ca, RB2, mesh.C(1, 1), mesh.C(30, 29), Options{Scratch: sc})
 	}); avg != 0 {
 		t.Errorf("unblocked RB2 walk allocates %.1f objects/op, want 0", avg)
 	}
 
+	// The first random pair whose RB2 and RB3 walks both reach a planned
+	// pivot: their finders certify and copy out blocking sequences.
 	f := fault.Uniform{}.Generate(mesh.Square(32), 150, rand.New(rand.NewSource(3)))
 	fa := NewAnalysis(f)
-	s, d := mesh.C(0, 0), mesh.C(31, 31)
 	r := rand.New(rand.NewSource(4))
-	for f.Faulty(s) {
-		s = mesh.C(r.Intn(32), r.Intn(32))
+	var s, d mesh.Coord
+	for tries := 0; ; tries++ {
+		if tries == 1000 {
+			t.Fatal("no pair on the field plans under both RB2 and RB3")
+		}
+		s, d = mesh.C(r.Intn(32), r.Intn(32)), mesh.C(r.Intn(32), r.Intn(32))
+		if Route(fa, RB2, s, d, Options{Scratch: sc}).Phases > 0 &&
+			Route(fa, RB3, s, d, Options{Scratch: sc}).Phases > 0 {
+			break
+		}
 	}
-	for f.Faulty(d) || d == s {
-		d = mesh.C(r.Intn(32), r.Intn(32))
-	}
-	warm(fa, s, d)
-	if avg := testing.AllocsPerRun(50, func() {
-		Route(fa, RB2, s, d, Options{Scratch: sc})
-	}); avg > 64 {
-		t.Errorf("faulted RB2 walk allocates %.1f objects/op, want <= 64", avg)
+	for _, algo := range []Algo{RB2, RB3} {
+		Route(fa, algo, s, d, Options{Scratch: sc})
+		if avg := testing.AllocsPerRun(50, func() {
+			Route(fa, algo, s, d, Options{Scratch: sc})
+		}); avg != 0 {
+			t.Errorf("planned %v walk %v->%v allocates %.1f objects/op, want 0", algo, s, d, avg)
+		}
 	}
 }

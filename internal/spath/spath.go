@@ -44,10 +44,13 @@ func NewBFS(f *fault.Set, src mesh.Coord) *BFS {
 	if f.Faulty(src) || !m.In(src) {
 		return b
 	}
-	queue := make([]int32, 0, m.Nodes())
+	qp := bfsQueues.Get().(*[]int32)
+	if cap(*qp) < m.Nodes() {
+		*qp = make([]int32, 0, m.Nodes())
+	}
 	si := int32(m.Index(src))
 	b.dist[si] = 0
-	queue = append(queue, si)
+	queue := append((*qp)[:0], si)
 	var nbuf [4]mesh.Coord
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
@@ -60,8 +63,16 @@ func NewBFS(f *fault.Set, src mesh.Coord) *BFS {
 			}
 		}
 	}
+	bfsQueues.Put(qp)
 	return b
 }
+
+// bfsQueues pools NewBFS's O(nodes) work queue. The distance field
+// outlives the search but the queue does not, and the distance oracle
+// fills a field on every cache miss: without the pool each miss would
+// discard a queue as large as the field it keeps, and under oracle
+// traffic that garbage sets the served process's peak heap.
+var bfsQueues = sync.Pool{New: func() any { return new([]int32) }}
 
 // Dist returns D(src, d) in hops, or Infinite when d is unreachable,
 // faulty, or outside the mesh.

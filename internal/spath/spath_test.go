@@ -20,6 +20,20 @@ func TestBFSFaultFreeEqualsManhattan(t *testing.T) {
 	})
 }
 
+// TestNewBFSKeepsOnlyItsField pins what a distance-oracle fill leaves
+// behind: the BFS and its distance slice. The work queue goes back to its
+// pool.
+func TestNewBFSKeepsOnlyItsField(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by race instrumentation")
+	}
+	f := fault.FromCoords(mesh.Square(40), mesh.C(10, 10), mesh.C(11, 10))
+	NewBFS(f, mesh.C(0, 0))
+	if avg := testing.AllocsPerRun(20, func() { NewBFS(f, mesh.C(0, 0)) }); avg != 2 {
+		t.Errorf("NewBFS allocates %.1f objects/op, want 2 (the BFS and its distances)", avg)
+	}
+}
+
 func TestBFSDetourAroundWall(t *testing.T) {
 	m := mesh.Square(7)
 	// Wall at x=3 with a gap at y=6 forces a detour.
