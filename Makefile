@@ -130,9 +130,12 @@ race:
 	$(GO) test -race -short ./...
 
 # One-iteration benchmark smoke: compiles and exercises the serial and
-# parallel RB2 routing benchmarks without measuring.
+# parallel RB2 routing benchmarks and the commit chain (a small-delta
+# Swap, which fails unless it stays incremental, and the B2 info
+# rebuild) without measuring. Keep in sync with ci.yml's "Benchmark
+# smoke".
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRouteRB2' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRouteRB2|BenchmarkApplySmallDelta|BenchmarkInfoRebuildB2' -benchtime 1x .
 
 # Routed-sweep smoke: meshsim at its default 100x100 mesh and 1500
 # faults, one trial of ten pairs. meshsim exits non-zero when an

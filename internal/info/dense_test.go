@@ -15,7 +15,7 @@ import (
 //
 //   - triples only on safe nodes, referencing components of the set;
 //   - relation records only between structurally valid chain pairs;
-//   - participant count consistent with the recorded visit set and never
+//   - participant count at least the informed population and never
 //     above the safe population;
 //   - message count at least the number of informed nodes minus walk
 //     origins (every deposit needed a hop).
@@ -97,7 +97,7 @@ func TestB2InformsForbiddenRegions(t *testing.T) {
 				}
 				has := false
 				for _, tr := range s.TriplesAt(c) {
-					if tr.F == f && tr.Kind.Axis() == mcc.AxisY {
+					if tr.F == f && tr.Axis == mcc.AxisY {
 						has = true
 					}
 				}

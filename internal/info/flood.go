@@ -5,13 +5,14 @@ import (
 	"repro/internal/mesh"
 )
 
-// This file implements Algorithm 4 step 5: under model B2, the triples
+// This file implements Algorithm 4 step 5: under model B2, the triple
 // deposited along the minus and plus boundaries of a component along an
-// axis broadcast through the forbidden region between them, so that every
-// node inside knows the axis's triple pair — (F, R_Y, R'_Y) along AxisY,
+// axis broadcasts through the forbidden region between them, so that every
+// node inside holds the axis's triple — (F, R_Y, R'_Y) along AxisY,
 // (F, R_X, R'_X) along AxisX. Nodes do not accept duplicates, so each node
-// relays a given component's triple at most once; the flood is a BFS over
-// mesh links restricted to the (merged) forbidden region.
+// relays a given component's triple at most once: the nodes holding it are
+// the flood's visited set, and the flood is a BFS over mesh links
+// restricted to the (merged) forbidden region.
 //
 // The relay predicate is locally decidable: the message carries the shape
 // of the source component and of the components whose regions merged into
@@ -29,28 +30,20 @@ import (
 // line. It is thus one depth threshold per line, and the union of several
 // regions is the per-line maximum.
 
-// flood broadcasts f's triple pair of axis a through the union of the
+// flood broadcasts f's triple along axis a through the union of the
 // extended forbidden regions of f and the joined components. It seeds from
-// the stage's boundary deposits of that axis (deposits[:seeds]) and relays
-// through safe region nodes, depositing both triples (the flooded node
-// learns the full identified information). Every link crossing is charged,
+// the nodes already holding that triple, which are exactly the axis's
+// boundary nodes (the other axis's flood deposits only its own triple),
+// and relays through safe region nodes. Every link crossing is charged,
 // including rejected duplicates arriving at already-informed nodes,
 // matching how a real broadcast spends messages.
-func (b *builder) flood(f *mcc.MCC, joined []*mcc.MCC, seeds int, a mcc.Axis) {
+func (b *builder) flood(f *mcc.MCC, joined []*mcc.MCC, a mcc.Axis) {
 	lo, hi := b.limits(f, joined, a)
-	minus, plus := kinds(a)
 	q := b.queue[:0]
-	for i := 0; i < seeds; i++ {
-		d := b.lg.deposits[i]
-		if d.kind.Axis() != a || !b.mark(int(d.idx), markSeen<<a) {
-			continue
+	for _, d := range b.lg.deposits {
+		if d.axis == a {
+			q = append(q, d.idx)
 		}
-		q = append(q, d.idx)
-		// The flood brings the fully identified information to the
-		// boundary nodes too: a minus boundary node learns the plus side's
-		// triple and vice versa.
-		b.depositAt(int(d.idx), minus)
-		b.depositAt(int(d.idx), plus)
 	}
 	w, h := b.m.Width(), b.m.Height()
 	for head := 0; head < len(q); head++ {
@@ -88,14 +81,7 @@ func (b *builder) relay(n, x, y int, a mcc.Axis) bool {
 		return false
 	}
 	b.lg.messages++
-	b.logVisit(n)
-	if !b.mark(n, markSeen<<a) {
-		return false // duplicate rejected; message still spent
-	}
-	minus, plus := kinds(a)
-	b.depositAt(n, minus)
-	b.depositAt(n, plus)
-	return true
+	return b.depositAt(n, a) // a duplicate is rejected; the message is still spent
 }
 
 // limits writes the region thresholds of f and joined along a into lim

@@ -14,7 +14,7 @@ import (
 )
 
 // storeDigest hashes everything a store exposes: each node's triples in
-// order (component ID and kind), both relation tables in order, the
+// order (component ID and axis), both relation tables in order, the
 // participant count and the message count.
 func storeDigest(s *Store) string {
 	h := sha256.New()
@@ -30,7 +30,7 @@ func storeDigest(s *Store) string {
 		ts := s.TriplesAt(m.CoordOf(idx))
 		put(int64(len(ts)))
 		for _, t := range ts {
-			put(int64(t.F.ID)<<8 | int64(t.Kind))
+			put(int64(t.F.ID)<<8 | int64(t.Axis))
 		}
 	}
 	for _, f := range s.Set().All() {
@@ -50,46 +50,49 @@ func storeDigest(s *Store) string {
 // states: after Build, after a three-delta churn chain of Rebuilds, and
 // after one Rebuild from the fault-free store (a new mesh receiving its
 // whole fault set as one delta). TestRebuildMatchesBuild compares two
-// functions that share their construction code; these values, recorded
-// on an earlier implementation, pin that code's output itself. A change
-// of the propagation's output must come with new values.
+// functions that share their construction code; these values pin that
+// code's output itself. They were computed from an earlier
+// implementation's stores, which tagged each triple with the boundary
+// that carried it, projected to the first triple per component and axis
+// at each node. A change of the propagation's output must come with new
+// values.
 var goldenDigests = map[string]string{
-	"B1/NE/build": "ae7a13e77320e3e5",
-	"B1/NE/churn": "8257999559be1fcc",
-	"B1/NE/setup": "ae7a13e77320e3e5",
-	"B1/NW/build": "988ca4ac4a4977ff",
-	"B1/NW/churn": "d0cbd00ddc4b5bb1",
-	"B1/NW/setup": "988ca4ac4a4977ff",
-	"B1/SE/build": "73864ba861ef77b9",
-	"B1/SE/churn": "246c29f88efcd747",
-	"B1/SE/setup": "73864ba861ef77b9",
-	"B1/SW/build": "4e386f0944f3ab59",
-	"B1/SW/churn": "814099d8f4fa29fd",
-	"B1/SW/setup": "4e386f0944f3ab59",
-	"B2/NE/build": "56c9d6570cb67cf2",
-	"B2/NE/churn": "75fab3041c386c06",
-	"B2/NE/setup": "56c9d6570cb67cf2",
-	"B2/NW/build": "cd9dea43e07be662",
-	"B2/NW/churn": "4159ba8d83192dcf",
-	"B2/NW/setup": "cd9dea43e07be662",
-	"B2/SE/build": "a687bbe658f452f1",
-	"B2/SE/churn": "67593e1bae136d24",
-	"B2/SE/setup": "a687bbe658f452f1",
-	"B2/SW/build": "d02f05c31e8febe7",
-	"B2/SW/churn": "da710aee4db495ca",
-	"B2/SW/setup": "d02f05c31e8febe7",
-	"B3/NE/build": "3ef6048a47741220",
-	"B3/NE/churn": "37383eb9c7bfe075",
-	"B3/NE/setup": "3ef6048a47741220",
-	"B3/NW/build": "c4dd181a6ad93d57",
-	"B3/NW/churn": "276319ad02f3db16",
-	"B3/NW/setup": "c4dd181a6ad93d57",
-	"B3/SE/build": "917b07c9602d7ba8",
-	"B3/SE/churn": "c49dba8862f5ab9e",
-	"B3/SE/setup": "917b07c9602d7ba8",
-	"B3/SW/build": "23e708a2b9c77feb",
-	"B3/SW/churn": "81eaa7b27e782184",
-	"B3/SW/setup": "23e708a2b9c77feb",
+	"B1/NE/build": "8f056c549711b4e0",
+	"B1/NE/churn": "eb5a8265562f3d0c",
+	"B1/NE/setup": "8f056c549711b4e0",
+	"B1/NW/build": "78721274eb6ae774",
+	"B1/NW/churn": "4e6aa84fb3b85c47",
+	"B1/NW/setup": "78721274eb6ae774",
+	"B1/SE/build": "2125f979b3124d7a",
+	"B1/SE/churn": "3d4b78a241cdccf5",
+	"B1/SE/setup": "2125f979b3124d7a",
+	"B1/SW/build": "082024c0ea73d602",
+	"B1/SW/churn": "0894ad97111d08b0",
+	"B1/SW/setup": "082024c0ea73d602",
+	"B2/NE/build": "957fac8d65603b04",
+	"B2/NE/churn": "3d54f2ad44a2ae0a",
+	"B2/NE/setup": "957fac8d65603b04",
+	"B2/NW/build": "966fa146535761ee",
+	"B2/NW/churn": "50968854c405b3eb",
+	"B2/NW/setup": "966fa146535761ee",
+	"B2/SE/build": "39abdd86838b972c",
+	"B2/SE/churn": "4033d9d748a009a5",
+	"B2/SE/setup": "39abdd86838b972c",
+	"B2/SW/build": "ff62f479e64b06cf",
+	"B2/SW/churn": "090cec61602c836f",
+	"B2/SW/setup": "ff62f479e64b06cf",
+	"B3/NE/build": "bd84ea938de5611f",
+	"B3/NE/churn": "93c54fdc8d16de6f",
+	"B3/NE/setup": "bd84ea938de5611f",
+	"B3/NW/build": "3af9d241729187ca",
+	"B3/NW/churn": "d96c759bc4b42124",
+	"B3/NW/setup": "3af9d241729187ca",
+	"B3/SE/build": "bef68b9306bb85d7",
+	"B3/SE/churn": "7996e5c7444f986b",
+	"B3/SE/setup": "bef68b9306bb85d7",
+	"B3/SW/build": "61386a884c703a5e",
+	"B3/SW/churn": "855745018c417fbe",
+	"B3/SW/setup": "61386a884c703a5e",
 }
 
 // goldenChurn returns three deltas of 4 adds and 4 repairs each against
@@ -139,7 +142,9 @@ func rebuildStep(st *Store, grid *labeling.Grid, adds, repairs []mesh.Coord) (*S
 	return Rebuild(st, set, carried, res.UnsafeFlipped), res.Grid
 }
 
-func TestGoldenStoreDigests(t *testing.T) {
+// eachFixtureStore builds the goldenDigests stores one at a time and
+// hands each to check under its key; -short keeps the NE orientation.
+func eachFixtureStore(check func(key string, st *Store)) {
 	m := mesh.Square(100)
 	base := fault.Uniform{}.Generate(m, 1500, rand.New(rand.NewSource(1)))
 	adds, repairs := goldenChurn(base.Clone())
@@ -150,10 +155,7 @@ func TestGoldenStoreDigests(t *testing.T) {
 	for _, model := range []Model{B1, B2, B3} {
 		for _, o := range orients {
 			check := func(state string, st *Store) {
-				k := model.String() + "/" + o.String() + "/" + state
-				if got, want := storeDigest(st), goldenDigests[k]; got != want {
-					t.Errorf("%s: digest %s, want %s", k, got, want)
-				}
+				check(model.String()+"/"+o.String()+"/"+state, st)
 			}
 			grid := labeling.Compute(base.Mirror(o))
 			st := Build(model, mcc.Extract(grid))
@@ -168,4 +170,19 @@ func TestGoldenStoreDigests(t *testing.T) {
 			check("setup", st)
 		}
 	}
+}
+
+func TestGoldenStoreDigests(t *testing.T) {
+	eachFixtureStore(func(key string, st *Store) {
+		if got, want := storeDigest(st), goldenDigests[key]; got != want {
+			t.Errorf("%s: digest %s, want %s", key, got, want)
+		}
+	})
+}
+
+// TestOneTriplePerComponentAxis checks the paper's duplicate rule on every
+// fixture store: a node holds at most one triple per component and axis,
+// however many boundaries and floods of that component reach it.
+func TestOneTriplePerComponentAxis(t *testing.T) {
+	eachFixtureStore(func(key string, st *Store) { checkOneTriplePerAxis(t, key, st) })
 }

@@ -65,54 +65,18 @@ func (m Model) String() string {
 	return fmt.Sprintf("Model(%d)", uint8(m))
 }
 
-// Kind identifies which region pair a stored triple describes and which
-// boundary carried it.
-type Kind uint8
-
-// Triple kinds. The Y kinds guard the +Y direction (type-I, forbidden
-// region below the component); the X kinds guard +X (type-II, forbidden
-// region west of it). The order is fixed: Kind.Axis and the walks compute
-// kinds from it (Kind(a)<<1 for a's minus boundary, plus 1 for its plus
-// boundary), and the store digests hash the values.
-const (
-	// RYMinusX: (F, R_Y, R'_Y) carried by the -X boundary (west side).
-	RYMinusX Kind = iota
-	// RYPlusX: (F, R_Y, R'_Y) carried by the +X boundary (east side).
-	RYPlusX
-	// RXMinusY: (F, R_X, R'_X) carried by the -Y boundary (south side).
-	RXMinusY
-	// RXPlusY: (F, R_X, R'_X) carried by the +Y boundary (north side).
-	RXPlusY
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case RYMinusX:
-		return "RY/-X"
-	case RYPlusX:
-		return "RY/+X"
-	case RXMinusY:
-		return "RX/-Y"
-	case RXPlusY:
-		return "RX/+Y"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// Axis returns the axis whose region pair the triple describes: AxisY for
-// the RY kinds, AxisX for the RX kinds. It runs per stored triple on every
-// routing hop, so it shifts rather than branches.
-func (k Kind) Axis() mcc.Axis { return mcc.Axis(k >> 1) }
-
-// Triple is one unit of boundary information stored at a node: the shape of
-// an MCC together with which of its region pairs the carrying boundary
-// describes. The regions themselves are derived from the shape on demand
-// (mcc.MCC.InForbidden and InCritical along Kind.Axis), exactly as a real
-// node would compute them from the received shape description.
+// Triple is one unit of boundary information stored at a node: the shape
+// of an MCC together with the axis whose region pair it describes. Along
+// AxisY it is (F, R_Y, R'_Y), guarding +Y (type-I, forbidden region below
+// the component); along AxisX it is (F, R_X, R'_X), guarding +X (type-II,
+// forbidden region west of it). The regions themselves are derived from
+// the shape on demand (mcc.MCC.InForbidden and InCritical along Axis),
+// exactly as a real node would compute them from the received shape
+// description. A node holds at most one triple per component and axis,
+// whichever boundary or flood brought it first.
 type Triple struct {
 	F    *mcc.MCC
-	Kind Kind
+	Axis mcc.Axis
 }
 
 // Store holds the outcome of one information model's propagation over one
@@ -144,11 +108,11 @@ type Store struct {
 }
 
 // depRec is one accepted deposit of the logging component: the triple's F
-// is always the walking component itself, so only position and kind need
+// is always the walking component itself, so only position and axis need
 // recording.
 type depRec struct {
 	idx  int32
-	kind Kind
+	axis mcc.Axis
 }
 
 // relRec is one accepted succeeding-MCC relation of the logging
@@ -163,12 +127,12 @@ type relRec struct {
 // the shapes of the components they intersect (reads), and the safe
 // status of the positions they touch (footprint); if none of those
 // changed across a fault delta, replaying the log reproduces the stage
-// bit for bit. Footprint and visits are read only as sets, so each holds
-// a position once; deposits and relations are logged post-dedup, so
-// replay is pure appends.
+// bit for bit. The footprint is read only as a set, so it holds a
+// position once; its safe positions are the stage's participants.
+// Deposits and relations are logged post-dedup, so replay is pure
+// appends.
 type compLog struct {
 	footprint []int32    // in-mesh positions whose safe/membership status was consulted
-	visits    []int32    // safe positions visited (participants accounting)
 	deposits  []depRec   // accepted deposits, in order
 	reads     []*mcc.MCC // components whose shape the walks consulted
 	relations []relRec   // accepted relation records, in order
@@ -256,13 +220,10 @@ type builder struct {
 	queue []int32
 }
 
-// Stage marks of a node. Bits 0-3 record a deposited triple of Kind k
-// (1<<k).
-const (
-	markFootprint uint8 = 1 << (4 + iota) // logged in the stage footprint
-	markVisit                             // logged in the stage visits
-	markSeen                              // reached by the flood along axis a, as markSeen<<a
-)
+// Stage marks of a node: bit a (1<<a) records a deposited triple along
+// axis a, which is also the flood's visited mark for that axis, and
+// markFootprint records the node in the stage footprint.
+const markFootprint uint8 = 1 << 2
 
 // mark sets bit among node idx's stage marks and reports whether it was
 // clear.
@@ -285,7 +246,6 @@ func (b *builder) stage(f *mcc.MCC) *compLog {
 	b.epoch++
 	b.lg = compLog{
 		footprint: b.lg.footprint[:0],
-		visits:    b.lg.visits[:0],
 		deposits:  b.lg.deposits[:0],
 		reads:     b.lg.reads[:0],
 		relations: b.lg.relations[:0],
@@ -301,16 +261,12 @@ func (b *builder) stage(f *mcc.MCC) *compLog {
 		for _, a := range mcc.Axes {
 			joined[a] = append(joined[a], b.boundaryPlus(f, a)...)
 		}
-		// The boundary deposits are exactly the nodes holding f's
-		// triples when the floods start: the flood seeds.
-		seeds := len(b.lg.deposits)
 		for _, a := range mcc.Axes {
-			b.flood(f, joined[a], seeds, a)
+			b.flood(f, joined[a], a)
 		}
 	}
 	return &compLog{
 		footprint: slices.Clone(b.lg.footprint),
-		visits:    slices.Clone(b.lg.visits),
 		deposits:  slices.Clone(b.lg.deposits),
 		reads:     slices.Clone(b.lg.reads),
 		relations: slices.Clone(b.lg.relations),
@@ -319,33 +275,19 @@ func (b *builder) stage(f *mcc.MCC) *compLog {
 }
 
 // visit records a node as touched by the propagation and charges one link
-// crossing (hop == true) when the visit came over a link. Only safe nodes
-// count as participants: Figure 5(c)'s ratio is over the safe population,
-// and an unsafe position on an idealized relay segment is not a node that
-// does protocol work.
+// crossing (hop == true) when the visit came over a link.
 func (b *builder) visit(c mesh.Coord, hop bool) {
 	if hop {
 		b.lg.messages++
 	}
-	if !b.m.In(c) {
-		return
-	}
-	idx := b.m.Index(c)
-	b.logFootprint(idx)
-	if b.grid.Safe(c) {
-		b.logVisit(idx)
+	if b.m.In(c) {
+		b.logFootprint(b.m.Index(c))
 	}
 }
 
 func (b *builder) logFootprint(idx int) {
 	if b.mark(idx, markFootprint) {
 		b.lg.footprint = append(b.lg.footprint, int32(idx))
-	}
-}
-
-func (b *builder) logVisit(idx int) {
-	if b.mark(idx, markVisit) {
-		b.lg.visits = append(b.lg.visits, int32(idx))
 	}
 }
 
@@ -356,23 +298,26 @@ func (b *builder) readComp(g *mcc.MCC) {
 	}
 }
 
-// deposit stores the walking component's triple of kind k at c unless it
-// is already there (nodes "will not accept duplicates from their
-// neighbors"). Only the walking component's stage deposits its triples,
-// so the stage's kind marks decide duplicates. The footprint is not
-// re-logged: every deposit site was visited by the same stage
-// immediately before.
-func (b *builder) deposit(c mesh.Coord, k Kind) {
+// deposit stores the walking component's triple along axis a at c unless
+// c already holds it (nodes "will not accept duplicates from their
+// neighbors"), whichever boundary or flood brought the first copy. Only
+// the walking component's stage deposits its triples, so the stage's axis
+// marks decide duplicates. The footprint is not re-logged: every deposit
+// site was visited by the same stage immediately before.
+func (b *builder) deposit(c mesh.Coord, a mcc.Axis) {
 	if b.grid.Safe(c) {
-		b.depositAt(b.m.Index(c), k)
+		b.depositAt(b.m.Index(c), a)
 	}
 }
 
-// depositAt is deposit at a safe node's index.
-func (b *builder) depositAt(idx int, k Kind) {
-	if b.mark(idx, 1<<k) {
-		b.lg.deposits = append(b.lg.deposits, depRec{idx: int32(idx), kind: k})
+// depositAt is deposit at a safe node's index. It reports whether the
+// node accepted the triple.
+func (b *builder) depositAt(idx int, a mcc.Axis) bool {
+	if !b.mark(idx, 1<<a) {
+		return false
 	}
+	b.lg.deposits = append(b.lg.deposits, depRec{idx: int32(idx), axis: a})
+	return true
 }
 
 // addRelation records pred -> the walking component along axis a,
@@ -386,7 +331,12 @@ func (b *builder) addRelation(pred *mcc.MCC, a mcc.Axis) {
 
 // assemble derives the store's tables from the component logs, walked in
 // ID order: the accounting, the relation tables, and the triple table,
-// filled by a counting sort into one exactly sized arena.
+// filled by a counting sort into one exactly sized arena. Participants
+// are the safe nodes of the footprints' union: Figure 5(c)'s ratio is over
+// the safe population, and an unsafe position on an idealized relay
+// segment is not a node that does protocol work. A replayed footprint
+// avoids every flipped cell, so its safe nodes are the ones its stage
+// visited.
 func (b *builder) assemble() {
 	s := b.Store
 	for _, a := range mcc.Axes {
@@ -397,8 +347,8 @@ func (b *builder) assemble() {
 	for _, f := range s.set.All() {
 		lg := s.logs[f.ID]
 		s.messages += lg.messages
-		for _, idx := range lg.visits {
-			if b.mark(int(idx), markVisit) {
+		for _, idx := range lg.footprint {
+			if b.mark(int(idx), markFootprint) && b.grid.Safe(s.m.CoordOf(int(idx))) {
 				s.participants++
 			}
 		}
@@ -422,7 +372,7 @@ func (b *builder) assemble() {
 		for j := len(deps) - 1; j >= 0; j-- {
 			d := deps[j]
 			s.off[d.idx]--
-			s.arena[s.off[d.idx]] = Triple{F: all[i], Kind: d.kind}
+			s.arena[s.off[d.idx]] = Triple{F: all[i], Axis: d.axis}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package info
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -50,83 +51,56 @@ func TestContoursAreWalkable(t *testing.T) {
 	}
 }
 
+// holds counts the triples of f along a stored at c.
+func holds(s *Store, c mesh.Coord, f *mcc.MCC, a mcc.Axis) int {
+	n := 0
+	for _, tr := range s.TriplesAt(c) {
+		if tr.F == f && tr.Axis == a {
+			n++
+		}
+	}
+	return n
+}
+
 func TestB1SingleMCCBoundaryDeposits(t *testing.T) {
-	// Single fault at (5,6) on a 12x12 mesh: c = (4,5), c' = (6,7).
+	// Single fault at (5,6) on a 12x12 mesh: c = (4,5), c' = (6,7). The
+	// -X boundary carries (F, R_Y, R'_Y) along x=4 from y=5 down to 0, the
+	// -Y boundary carries (F, R_X, R'_X) along y=5 from x=4 down to 0, and
+	// B1 has no +X/+Y boundaries: no other node holds anything, neither
+	// the +X line x=6 nor the +Y line y=7 below and west of c'.
 	s, set := build(t, B1, mesh.Square(12), mesh.C(5, 6))
 	f := set.All()[0]
-	// -X boundary: x=4, y from 5 down to 0.
-	for y := 0; y <= 5; y++ {
-		ts := s.TriplesAt(mesh.C(4, y))
-		found := false
-		for _, tr := range ts {
-			if tr.F == f && tr.Kind == RYMinusX {
-				found = true
-			}
+	s.m.EachNode(func(c mesh.Coord) {
+		var want []Triple
+		if c.X == 4 && c.Y <= 5 {
+			want = append(want, Triple{F: f, Axis: mcc.AxisY})
 		}
-		if !found {
-			t.Errorf("missing RY/-X triple at (4,%d)", y)
+		if c.Y == 5 && c.X <= 4 {
+			want = append(want, Triple{F: f, Axis: mcc.AxisX})
 		}
-	}
-	// -Y boundary: y=5, x from 4 down to 0.
-	for x := 0; x <= 4; x++ {
-		ts := s.TriplesAt(mesh.C(x, 5))
-		found := false
-		for _, tr := range ts {
-			if tr.F == f && tr.Kind == RXMinusY {
-				found = true
-			}
+		if got := s.TriplesAt(c); !slices.Equal(got, want) {
+			t.Errorf("B1 triples at %v: %v, want %v", c, got, want)
 		}
-		if !found {
-			t.Errorf("missing RX/-Y triple at (%d,5)", x)
-		}
-	}
-	// No +X/+Y boundaries under B1.
-	for _, tr := range s.TriplesAt(mesh.C(6, 6)) {
-		if tr.Kind == RYPlusX || tr.Kind == RXPlusY {
-			t.Errorf("B1 deposited %v at (6,6)", tr.Kind)
-		}
-	}
-	// Nodes far from any boundary hold nothing.
-	if s.HasInfo(mesh.C(10, 2)) {
-		t.Error("distant node has info under B1")
-	}
+	})
 }
 
 func TestB2FloodFillsForbiddenRegion(t *testing.T) {
 	s, set := build(t, B2, mesh.Square(12), mesh.C(5, 6))
 	f := set.All()[0]
 	// Every node in the extended Y region [4..6] below the component must
-	// know both RY triples.
+	// hold F's R_Y triple exactly once, though both the -X line x=4 and the
+	// +X line x=6 bound the region and the flood reaches every node of it.
 	for x := 4; x <= 6; x++ {
 		for y := 0; y <= 5; y++ {
-			if x == 6 && y > 6 {
-				continue
-			}
-			ts := s.TriplesAt(mesh.C(x, y))
-			var hasMinus, hasPlus bool
-			for _, tr := range ts {
-				if tr.F == f && tr.Kind == RYMinusX {
-					hasMinus = true
-				}
-				if tr.F == f && tr.Kind == RYPlusX {
-					hasPlus = true
-				}
-			}
-			if !hasMinus || !hasPlus {
-				t.Errorf("flood gap at (%d,%d): minus=%v plus=%v", x, y, hasMinus, hasPlus)
+			if n := holds(s, mesh.C(x, y), f, mcc.AxisY); n != 1 {
+				t.Errorf("(%d,%d) holds %d R_Y triples of F, want 1", x, y, n)
 			}
 		}
 	}
 	// And the X region west of the component likewise.
 	for _, c := range []mesh.Coord{mesh.C(0, 6), mesh.C(3, 6), mesh.C(4, 7)} {
-		var hasX bool
-		for _, tr := range s.TriplesAt(c) {
-			if tr.F == f && (tr.Kind == RXMinusY || tr.Kind == RXPlusY) {
-				hasX = true
-			}
-		}
-		if !hasX {
-			t.Errorf("no RX info at %v under B2", c)
+		if n := holds(s, c, f, mcc.AxisX); n != 1 {
+			t.Errorf("%v holds %d R_X triples of F under B2, want 1", c, n)
 		}
 	}
 	// Nodes outside all regions stay empty: north-east of the component.
@@ -147,14 +121,9 @@ func TestBoundaryJoinsStackedComponents(t *testing.T) {
 			upper = f
 		}
 	}
-	holdsUpper := func(c mesh.Coord) bool {
-		for _, tr := range s.TriplesAt(c) {
-			if tr.F == upper && tr.Kind == RYMinusX {
-				return true
-			}
-		}
-		return false
-	}
+	// Under B1 only the upper component's -X boundary carries its R_Y
+	// triple.
+	holdsUpper := func(c mesh.Coord) bool { return holds(s, c, upper, mcc.AxisY) > 0 }
 	// Line from (4,7) down to (4,5) holds the triple.
 	for y := 5; y <= 7; y++ {
 		if !holdsUpper(mesh.C(4, y)) {
@@ -222,16 +191,10 @@ func TestB3SplitDepositsPlusXSide(t *testing.T) {
 			upper = f
 		}
 	}
-	holdsPlus := func(c mesh.Coord) bool {
-		for _, tr := range s.TriplesAt(c) {
-			if tr.F == upper && tr.Kind == RYPlusX {
-				return true
-			}
-		}
-		return false
-	}
+	// B3 has no +X boundary of its own, so the upper component's R_Y
+	// triple reaches x=6 only by the split branch.
 	for y := 0; y <= 5; y++ {
-		if !holdsPlus(mesh.C(6, y)) {
+		if holds(s, mesh.C(6, y), upper, mcc.AxisY) == 0 {
 			t.Errorf("missing split +X triple at (6,%d)", y)
 		}
 	}
@@ -281,43 +244,33 @@ func TestDepositsOnlyOnSafeNodes(t *testing.T) {
 	}
 }
 
-func TestTriplesDeduplicated(t *testing.T) {
-	s, _ := build(t, B2, mesh.Square(12), mesh.C(5, 6))
+// checkOneTriplePerAxis fails t when a node of s holds two triples with
+// the same component and axis.
+func checkOneTriplePerAxis(t *testing.T, name string, s *Store) {
+	t.Helper()
 	s.m.EachNode(func(c mesh.Coord) {
 		ts := s.TriplesAt(c)
 		for i := range ts {
 			for j := i + 1; j < len(ts); j++ {
-				if ts[i] == ts[j] {
-					t.Fatalf("duplicate triple %v at %v", ts[i], c)
+				if ts[i].F == ts[j].F && ts[i].Axis == ts[j].Axis {
+					t.Fatalf("%s: node %v holds %v's triple along %v twice", name, c, ts[i].F, ts[i].Axis)
 				}
 			}
 		}
 	})
 }
 
-func TestModelAndKindStrings(t *testing.T) {
+func TestTriplesDeduplicated(t *testing.T) {
+	s, _ := build(t, B2, mesh.Square(12), mesh.C(5, 6))
+	checkOneTriplePerAxis(t, "B2", s)
+}
+
+func TestModelStrings(t *testing.T) {
 	if B1.String() != "B1" || B2.String() != "B2" || B3.String() != "B3" {
 		t.Error("model names changed")
 	}
 	if Model(9).String() != "Model(9)" {
 		t.Error("unknown model string")
-	}
-	kinds := map[Kind]string{RYMinusX: "RY/-X", RYPlusX: "RY/+X", RXMinusY: "RX/-Y", RXPlusY: "RX/+Y"}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("kind %d = %q, want %q", k, k.String(), want)
-		}
-	}
-	// Kind.Axis shifts rather than branches, so the declaration order is
-	// pinned: RY/-X, RY/+X, RX/-Y, RX/+Y.
-	axes := map[Kind]mcc.Axis{RYMinusX: mcc.AxisY, RYPlusX: mcc.AxisY, RXMinusY: mcc.AxisX, RXPlusY: mcc.AxisX}
-	for k, want := range axes {
-		if k.Axis() != want {
-			t.Errorf("kind %v axis = %v, want %v", k, k.Axis(), want)
-		}
-	}
-	if Kind(9).String() != "Kind(9)" {
-		t.Error("unknown kind string")
 	}
 }
 
@@ -325,22 +278,28 @@ func TestBorderTouchingComponentSkipsLines(t *testing.T) {
 	// Component at the south-west corner of the mesh: its initialization
 	// corner is outside, so the -X and -Y boundaries cannot start; the +X
 	// and +Y boundaries from the in-mesh opposite corner (1,1) still can.
-	// Must not panic and must not run minus-side walks. Checked under B3
-	// (B2's flood legitimately copies the full identified information —
-	// both kinds — onto every informed node, so only a flood-free model can
-	// observe which walks ran).
+	// Must not panic and must not run minus-side walks. B3 runs only minus
+	// walks (its plus-side deposits come from their splits), so its store
+	// must be empty.
 	s3, _ := build(t, B3, mesh.Square(8), mesh.C(0, 0))
 	s3.m.EachNode(func(c mesh.Coord) {
-		for _, tr := range s3.TriplesAt(c) {
-			if tr.Kind == RYMinusX || tr.Kind == RXMinusY {
-				t.Errorf("minus-side triple %v deposited at %v for a corner-clipped component", tr.Kind, c)
-			}
+		if ts := s3.TriplesAt(c); ts != nil {
+			t.Errorf("triples %v deposited at %v for a corner-clipped component", ts, c)
 		}
 	})
-	s, _ := build(t, B2, mesh.Square(8), mesh.C(0, 0))
-	// The +X boundary line below the opposite corner carries info.
-	if !s.HasInfo(mesh.C(1, 0)) || !s.HasInfo(mesh.C(0, 1)) {
-		t.Error("plus-side boundaries missing for corner component")
+	s, set := build(t, B2, mesh.Square(8), mesh.C(0, 0))
+	f := set.All()[0]
+	// The +X boundary runs down x=1 from the opposite corner carrying the
+	// R_Y triple, the +Y boundary west along y=1 carrying the R_X one.
+	for _, c := range []mesh.Coord{mesh.C(1, 1), mesh.C(1, 0)} {
+		if holds(s, c, f, mcc.AxisY) != 1 {
+			t.Errorf("+X boundary missing at %v for corner component", c)
+		}
+	}
+	for _, c := range []mesh.Coord{mesh.C(1, 1), mesh.C(0, 1)} {
+		if holds(s, c, f, mcc.AxisX) != 1 {
+			t.Errorf("+Y boundary missing at %v for corner component", c)
+		}
 	}
 	if s.TriplesAt(mesh.C(-1, 0)) != nil {
 		t.Error("TriplesAt outside mesh must be nil")

@@ -73,7 +73,6 @@ func Rebuild(prev *Store, set *mcc.Set, carried map[*mcc.MCC]*mcc.MCC, flipped [
 func remapLog(lg *compLog, carried map[*mcc.MCC]*mcc.MCC) *compLog {
 	nl := &compLog{
 		footprint: lg.footprint,
-		visits:    lg.visits,
 		deposits:  lg.deposits,
 		messages:  lg.messages,
 		reads:     make([]*mcc.MCC, len(lg.reads)),

@@ -11,7 +11,7 @@ import (
 )
 
 // storesEqual compares two stores observationally: per-node triple lists
-// in order (by component ID and kind — order matters to findSequenceB3's
+// in order (by component ID and axis — order matters to findSequenceB3's
 // tie-break), relation tables in order, and the propagation accounting.
 func storesEqual(t *testing.T, got, want *Store) {
 	t.Helper()
@@ -27,9 +27,9 @@ func storesEqual(t *testing.T, got, want *Store) {
 			t.Fatalf("node %d: %d triples, want %d", idx, len(g), len(w))
 		}
 		for i := range w {
-			if g[i].F.ID != w[i].F.ID || g[i].Kind != w[i].Kind {
+			if g[i].F.ID != w[i].F.ID || g[i].Axis != w[i].Axis {
 				t.Fatalf("node %d triple %d: (%d,%v), want (%d,%v)",
-					idx, i, g[i].F.ID, g[i].Kind, w[i].F.ID, w[i].Kind)
+					idx, i, g[i].F.ID, g[i].Axis, w[i].F.ID, w[i].Axis)
 			}
 		}
 	}

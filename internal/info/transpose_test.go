@@ -14,8 +14,7 @@ import (
 // TestTranspositionSymmetry checks that every model built on the
 // transposed fault set f^T (x and y swapped) is the transpose of the model
 // built on f: the same participants and messages; at every node c the
-// triples held at c^T, with the RY and RX kinds swapped (RY/-X <-> RX/-Y,
-// RY/+X <-> RX/+Y); and B3's type-I relations on f equal to its type-II
+// triples held at c^T, with the axes swapped; and B3's type-I relations on f equal to its type-II
 // relations on f^T and vice versa. Component IDs follow discovery order,
 // which transposition changes, so components are matched by cell set.
 func TestTranspositionSymmetry(t *testing.T) {
@@ -62,10 +61,10 @@ func TestTranspositionSymmetry(t *testing.T) {
 			s.m.EachNode(func(c mesh.Coord) {
 				got, want = got[:0], want[:0]
 				for _, tp := range s.TriplesAt(c) {
-					got = append(got, tr[tp.F.ID]<<2|int(tp.Kind^2))
+					got = append(got, tr[tp.F.ID]<<1|int(1-tp.Axis))
 				}
 				for _, tp := range sT.TriplesAt(mesh.C(c.Y, c.X)) {
-					want = append(want, tp.F.ID<<2|int(tp.Kind))
+					want = append(want, tp.F.ID<<1|int(tp.Axis))
 				}
 				slices.Sort(got)
 				slices.Sort(want)

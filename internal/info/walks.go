@@ -14,7 +14,7 @@ import (
 // (canonical +X/+Y orientation throughout). Along AxisY a line is a column
 // and depth is y, so "down" is south and "back" is west; along AxisX a
 // line is a row and depth is x, so "down" is west and "back" is south.
-// The axis's boundaries carry its triples: the -X and +X boundaries carry
+// The axis's boundaries carry its triple: the -X and +X boundaries carry
 // (F, R_Y, R'_Y), the -Y and +Y boundaries carry (F, R_X, R'_X).
 //
 //   - contour along a: c, up the component's back side (the lines before
@@ -35,18 +35,14 @@ import (
 // fields; the walk then deposits nothing at that position but continues,
 // as if the message were relayed around the obstruction: the hop is
 // charged as one link crossing, and the unsafe position never counts as a
-// participant (see visit).
-
-// kinds returns the triple kinds of axis a: the one its minus boundary
-// carries and the one its plus boundary carries.
-func kinds(a mcc.Axis) (minus, plus Kind) { return Kind(a) << 1, Kind(a)<<1 | 1 }
+// participant (see assemble).
 
 // step visits c (over a link when hop is set) and deposits the walking
-// component's triple of kind k there. Deposits skip unsafe positions, so
-// a walk may step onto an intersected component's cell and then turn.
-func (b *builder) step(c mesh.Coord, hop bool, k Kind) {
+// component's triple along a there. Deposits skip unsafe positions, so a
+// walk may step onto an intersected component's cell and then turn.
+func (b *builder) step(c mesh.Coord, hop bool, a mcc.Axis) {
 	b.visit(c, hop)
-	b.deposit(c, k)
+	b.deposit(c, a)
 }
 
 // identificationWalks models Algorithm 1 steps 1-2: two messages walk the
@@ -97,8 +93,7 @@ func (b *builder) boundaryMinus(f *mcc.MCC, a mcc.Axis, b3 bool) []*mcc.MCC {
 	if !b.m.In(c) {
 		return nil // component touches the mesh's back or bottom border: no line
 	}
-	k, _ := kinds(a)
-	b.step(c, false, k)
+	b.step(c, false, a)
 	p, q := a.Split(c)
 	var joined []*mcc.MCC
 	first := true
@@ -108,7 +103,7 @@ func (b *builder) boundaryMinus(f *mcc.MCC, a mcc.Axis, b3 bool) []*mcc.MCC {
 			return joined
 		}
 		pos := a.C(p, q)
-		b.step(pos, true, k)
+		b.step(pos, true, a)
 		g := b.set.At(pos)
 		b.readComp(g)
 		if g == nil {
@@ -138,7 +133,7 @@ func (b *builder) boundaryMinus(f *mcc.MCC, a mcc.Axis, b3 bool) []*mcc.MCC {
 		}
 		// Join g's minus boundary: back along g's top, down its back side.
 		var ok bool
-		if p, q, ok = b.traverseMinus(k, g, a, p); !ok {
+		if p, q, ok = b.traverseMinus(g, a, p); !ok {
 			return joined
 		}
 	}
@@ -146,9 +141,9 @@ func (b *builder) boundaryMinus(f *mcc.MCC, a mcc.Axis, b3 bool) []*mcc.MCC {
 
 // traverseMinus walks from the top of component g on line from backward
 // along g's high staircase and down its back side to g's corner,
-// depositing kind k. It returns the corner, or ok=false when the walk
-// left the mesh.
-func (b *builder) traverseMinus(k Kind, g *mcc.MCC, a mcc.Axis, from int) (p, q int, ok bool) {
+// depositing the triple along a. It returns the corner, or ok=false when
+// the walk left the mesh.
+func (b *builder) traverseMinus(g *mcc.MCC, a mcc.Axis, from int) (p, q int, ok bool) {
 	first, lo, hi := g.Profile(a)
 	q = hi[from-first] + 1
 	// (from, q) was already visited as the intersection approach.
@@ -156,18 +151,18 @@ func (b *builder) traverseMinus(k Kind, g *mcc.MCC, a mcc.Axis, from int) (p, q 
 		if cp >= first {
 			// Descend to this line's top height, then step back.
 			for ; q > hi[cp-first]+1; q-- {
-				b.step(a.C(cp+1, q-1), true, k)
+				b.step(a.C(cp+1, q-1), true, a)
 			}
 		}
 		if cp < 0 {
 			return 0, 0, false
 		}
-		b.step(a.C(cp, q), true, k)
+		b.step(a.C(cp, q), true, a)
 	}
 	// Down the back side to the corner.
 	p = first - 1
 	for ; q > lo[0]-1; q-- {
-		b.step(a.C(p, q-1), true, k)
+		b.step(a.C(p, q-1), true, a)
 	}
 	if q < 0 {
 		return 0, 0, false
@@ -177,23 +172,22 @@ func (b *builder) traverseMinus(k Kind, g *mcc.MCC, a mcc.Axis, from int) (p, q 
 
 // turnPlus walks from the top of component g on line from forward along
 // g's high staircase to the line of g's opposite corner, depositing the
-// plus kind of a, and returns that position, or ok=false when the line is
+// triple along a, and returns that position, or ok=false when the line is
 // off the mesh. The plus boundary continues down from there.
 func (b *builder) turnPlus(g *mcc.MCC, a mcc.Axis, from int) (p, q int, ok bool) {
-	_, k := kinds(a)
 	first, _, hi := g.Profile(a)
 	q = hi[from-first] + 1
 	for p = from + 1; p < first+len(hi); p++ {
 		// Climb to the next line's top height, then step forward.
 		for ; q < hi[p-first]+1; q++ {
-			b.step(a.C(p-1, q+1), true, k)
+			b.step(a.C(p-1, q+1), true, a)
 		}
-		b.step(a.C(p, q), true, k)
+		b.step(a.C(p, q), true, a)
 	}
 	if p >= a.Lines(b.m) {
 		return 0, 0, false
 	}
-	b.step(a.C(p, q), true, k)
+	b.step(a.C(p, q), true, a)
 	return p, q, true
 }
 
@@ -206,15 +200,13 @@ func (b *builder) boundaryPlus(f *mcc.MCC, a mcc.Axis) []*mcc.MCC {
 	if !b.m.In(c) {
 		return nil
 	}
-	_, k := kinds(a)
-	b.step(c, false, k)
+	b.step(c, false, a)
 	p, q := a.Split(c)
 	return b.plusFrom(a, p, q)
 }
 
 // plusFrom continues a plus boundary along a down from line p, depth q.
 func (b *builder) plusFrom(a mcc.Axis, p, q int) []*mcc.MCC {
-	_, k := kinds(a)
 	var joined []*mcc.MCC
 	for {
 		q--
@@ -222,7 +214,7 @@ func (b *builder) plusFrom(a mcc.Axis, p, q int) []*mcc.MCC {
 			return joined
 		}
 		pos := a.C(p, q)
-		b.step(pos, true, k)
+		b.step(pos, true, a)
 		g := b.set.At(pos)
 		b.readComp(g)
 		if g == nil {

@@ -60,7 +60,7 @@ func (e env) candidates(cu, ct mesh.Coord, dst []mesh.Direction) []mesh.Directio
 //meshlint:hotpath
 func (e env) excluded(cu, target, ct mesh.Coord) bool {
 	for _, tr := range e.store.TriplesAt(cu) {
-		if a := tr.Kind.Axis(); tr.F.InForbidden(a, target) && tr.F.InCritical(a, ct) {
+		if tr.F.InForbidden(tr.Axis, target) && tr.F.InCritical(tr.Axis, ct) {
 			return true
 		}
 	}

@@ -217,11 +217,10 @@ func findSequenceB3(e env, cu, cd mesh.Coord, dst *mcc.Sequence) bool {
 	// Seeds: components whose triples are present at cu and whose extended
 	// forbidden region contains cu (Equation 5's F(alpha) test).
 	for _, tr := range e.store.TriplesAt(cu) {
-		a := tr.Kind.Axis()
-		chain := chainFromRelations(e, tr.F, a, cu, cd, buf[:0])
+		chain := chainFromRelations(e, tr.F, tr.Axis, cu, cd, buf[:0])
 		if chain != nil && (!found || len(chain) < len(dst.Chain)) {
 			dst.Chain = append(dst.Chain[:0], chain...)
-			dst.Axis = a
+			dst.Axis = tr.Axis
 			found = true
 		}
 	}

@@ -54,7 +54,7 @@ func analysesEqual(t *testing.T, rng *rand.Rand, got, want *Analysis) {
 					t.Fatalf("orient %v %v node %v: %d triples, want %d", o, mod, c, len(gt), len(wt))
 				}
 				for i := range wt {
-					if gt[i].F.ID != wt[i].F.ID || gt[i].Kind != wt[i].Kind {
+					if gt[i].F.ID != wt[i].F.ID || gt[i].Axis != wt[i].Axis {
 						t.Fatalf("orient %v %v node %v triple %d differs", o, mod, c, i)
 					}
 				}
