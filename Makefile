@@ -18,8 +18,8 @@ BENCH_PKGS ?= . ./internal/spath ./internal/server
 # now (see benchFix in bench_test.go).
 BENCH_TIME ?= 50x
 # The fault-commit benchmarks run a 1000x1000-mesh snapshot rebuild per
-# iteration (BenchmarkApplyFullRebuild pays a multi-second full
-# precompute each time), so they get their own, much smaller iteration
+# iteration (BenchmarkApplyFullRebuild pays a full precompute, about
+# half a second, each time), so they get their own, much smaller iteration
 # count and a separate invocation. The B2 information stage that
 # dominates a commit is gated with them: its full build (InfoB2) and its
 # delta rebuild (InfoRebuildB2) on the 100x100/1500-fault fixture.
@@ -130,12 +130,13 @@ race:
 	$(GO) test -race -short ./...
 
 # One-iteration benchmark smoke: compiles and exercises the serial and
-# parallel RB2 routing benchmarks and the commit chain (a small-delta
-# Swap, which fails unless it stays incremental, and the B2 info
-# rebuild) without measuring. Keep in sync with ci.yml's "Benchmark
+# parallel RB2 routing benchmarks, the commit chain (a small-delta Swap,
+# which fails unless it stays incremental, and the B2 info rebuild) and
+# the from-scratch paths (a full-precompute Swap, labeling and MCC
+# extraction) without measuring. Keep in sync with ci.yml's "Benchmark
 # smoke".
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkRouteRB2|BenchmarkApplySmallDelta|BenchmarkInfoRebuildB2' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRouteRB2|BenchmarkApplySmallDelta|BenchmarkApplyFullRebuild|BenchmarkInfoRebuildB2|BenchmarkLabeling100x100|BenchmarkMCCExtract' -benchtime 1x .
 
 # Routed-sweep smoke: meshsim at its default 100x100 mesh and 1500
 # faults, one trial of ten pairs. meshsim exits non-zero when an

@@ -107,11 +107,12 @@ func NewSnapshot(f *fault.Set, opts Options) *Snapshot {
 	}
 }
 
-// fullRebuildFactor gates the delta-scoped snapshot path: when the delta
-// touches at least nodes/fullRebuildFactor cells, a from-scratch
-// precompute is at least as cheap as chasing the delta's consequences
-// (inject_random replaces the whole working set, for example), so the
-// router falls back to a full precompute.
+// fullRebuildFactor gates the delta path: when the delta touches at
+// least nodes/fullRebuildFactor cells (inject_random replaces the whole
+// working set, for example), the router falls back to a full precompute.
+// Both paths recompute labels and components from the faults, so the
+// fork only skips info replay's checks, which such a delta fails for
+// nearly every component.
 const fullRebuildFactor = 4
 
 // Faults returns the snapshot's fault set. Callers must treat it as
@@ -215,9 +216,8 @@ type Router struct {
 	// Cumulative rebuild accounting across every snapshot this router
 	// publishes. The oracle hit/miss pair lives in the oracles, which
 	// Rebase hands from each snapshot to the next.
-	rebuildCells atomic.Uint64 // labeling cells examined by delta-scoped rebuilds
-	deltaBuilds  atomic.Uint64 // publications served by the incremental path
-	fullBuilds   atomic.Uint64 // publications that fell back to full precompute
+	deltaBuilds atomic.Uint64 // publications served by the incremental path
+	fullBuilds  atomic.Uint64 // publications that fell back to full precompute
 }
 
 // RebuildStats is the router's cumulative delta-rebuild and oracle
@@ -227,9 +227,6 @@ type RebuildStats struct {
 	// snapshot's oracle, so OracleHits/(OracleHits+OracleMisses) is a
 	// meaningful served rate even when a scrape straddles a publication.
 	OracleHits, OracleMisses uint64
-	// RebuildCells counts labeling cells examined by delta-scoped
-	// rebuilds (all four orientations).
-	RebuildCells uint64
 	// DeltaBuilds / FullBuilds count publications by rebuild path.
 	DeltaBuilds, FullBuilds uint64
 }
@@ -240,7 +237,6 @@ func (r *Router) RebuildStats() RebuildStats {
 	return RebuildStats{
 		OracleHits:   hits,
 		OracleMisses: misses,
-		RebuildCells: r.rebuildCells.Load(),
 		DeltaBuilds:  r.deltaBuilds.Load(),
 		FullBuilds:   r.fullBuilds.Load(),
 	}
@@ -250,8 +246,8 @@ func (r *Router) RebuildStats() RebuildStats {
 // currently published one. Small deltas take the incremental path,
 // routing.RebuildFrom over the exact fault diff; large deltas (at least
 // nodes/fullRebuildFactor cells, e.g. an inject_random replacing the
-// whole working set) fall back to a full precompute, which is cheaper
-// than chasing their consequences. Either way the snapshot gets an empty
+// whole working set) fall back to a full precompute (see
+// fullRebuildFactor). Either way the snapshot gets an empty
 // oracle that continues the previous one's hit/miss counters. Callers
 // hold r.mu so the delta is computed against the snapshot that
 // publishLocked will replace.
@@ -271,9 +267,7 @@ func (r *Router) buildSnapshotLocked(f *fault.Set) *Snapshot {
 		r.fullBuilds.Add(1)
 		return s
 	}
-	a, st := routing.RebuildFrom(prev.analysis, frozen, adds, repairs, r.opts.Models...)
-	s.analysis = a
-	r.rebuildCells.Add(uint64(st.Cells))
+	s.analysis = routing.RebuildFrom(prev.analysis, frozen, adds, repairs, r.opts.Models...)
 	r.deltaBuilds.Add(1)
 	return s
 }

@@ -56,9 +56,6 @@ func TestIncrementalSwapMatchesFull(t *testing.T) {
 	if st.DeltaBuilds == 0 {
 		t.Fatalf("small deltas should take the incremental path: %+v", st)
 	}
-	if st.RebuildCells == 0 {
-		t.Fatalf("incremental publications should examine cells: %+v", st)
-	}
 }
 
 // TestFullRebuildFallback checks that a wholesale replacement falls back

@@ -7,17 +7,22 @@ import (
 
 // Rebuild constructs the store Build(prev.Model(), set) would produce,
 // replaying the logged contribution of every component whose inputs the
-// fault delta provably did not touch and re-walking only the rest.
+// fault delta provably did not touch and re-walking only the rest. It is
+// the one incremental stage of a commit: labels and components are
+// recomputed from the faults, and only the stores replay.
+// bench/replay.go calls it, which fixes its signature.
 //
 // Arguments: prev is the store over the previous snapshot's MCC set,
 // set the new set, carried the old-to-new component provenance from
-// mcc.UpdateSet, and flipped the cells whose safe/unsafe status changed
-// (labeling.UpdateResult.UnsafeFlipped, in the store's canonical frame).
+// mcc.UpdateSet (each previous component whose exact cells form a
+// component of set, mapped to it), and flipped the cells whose
+// safe/unsafe status changed (labeling.UpdateResult.UnsafeFlipped, in
+// the store's canonical frame).
 //
 // A component's contribution replays when
 //
-//   - it survived the delta (present in carried, possibly ID-shifted:
-//     walks depend on shape, not identity),
+//   - it survived the delta (present in carried, possibly under another
+//     ID: walks depend on shape, not identity),
 //   - its footprint — every position whose safe status or component
 //     membership the walks and floods consulted — avoids every flipped
 //     cell, and

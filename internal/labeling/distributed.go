@@ -41,7 +41,6 @@ func ComputeDistributed(f *fault.Set) (*Grid, *simnet.Network) {
 	for idx := range g.label {
 		if f.Faulty(m.CoordOf(idx)) {
 			g.label[idx] = fFaulty
-			g.unsafe++
 		}
 	}
 
@@ -71,9 +70,6 @@ func ComputeDistributed(f *fault.Set) (*Grid, *simnet.Network) {
 		if add == 0 {
 			return
 		}
-		if fl == 0 {
-			g.unsafe++
-		}
 		g.label[idx] = fl | add
 		announce(out, fl|add)
 	}
@@ -101,5 +97,10 @@ func ComputeDistributed(f *fault.Set) (*Grid, *simnet.Network) {
 	// Label chains are at most W+H long and each link carries O(1) distinct
 	// flag values, so this bound is generous.
 	net.Run(8 * (m.Width() + m.Height() + 2))
+	for idx, fl := range g.label {
+		if fl.unsafe() {
+			g.unsafe = append(g.unsafe, idx)
+		}
+	}
 	return g, net
 }

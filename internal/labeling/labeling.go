@@ -26,14 +26,17 @@
 // rules wherever they are unambiguous; the distributed engine is tested for
 // exact equality with the centralized one on random fault fields.
 //
-// Two engines are provided: a centralized worklist fixpoint (Compute) used
-// by the geometry and evaluation layers, and a distributed round-based
-// engine (ComputeDistributed) that reproduces the paper's "each active node
-// collects its neighbors' status and updates its status" process.
+// Two engines are provided: a centralized worklist fixpoint, which Compute
+// runs from a fault set and Update from the previous grid's faults plus a
+// delta, used by the geometry and evaluation layers; and a distributed
+// round-based engine (ComputeDistributed) that reproduces the paper's
+// "each active node collects its neighbors' status and updates its
+// status" process.
 package labeling
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/mesh"
@@ -112,9 +115,11 @@ func (f flags) status() Status {
 // Grid holds the converged labeling of every node of a mesh for the
 // canonical +X/+Y orientation.
 type Grid struct {
-	m      mesh.Mesh
-	label  []flags
-	unsafe int
+	m     mesh.Mesh
+	label []flags
+	// unsafe lists the indices of the unsafe nodes in ascending
+	// (row-major) order.
+	unsafe []int
 }
 
 // Mesh returns the labeled mesh.
@@ -144,10 +149,14 @@ func (g *Grid) Safe(c mesh.Coord) bool { return g.m.In(c) && !g.Unsafe(c) }
 
 // UnsafeCount returns the number of unsafe nodes — the "disabled area" of
 // Figure 5(a).
-func (g *Grid) UnsafeCount() int { return g.unsafe }
+func (g *Grid) UnsafeCount() int { return len(g.unsafe) }
 
 // SafeCount returns the number of safe nodes.
-func (g *Grid) SafeCount() int { return g.m.Nodes() - g.unsafe }
+func (g *Grid) SafeCount() int { return g.m.Nodes() - len(g.unsafe) }
+
+// UnsafeNodes returns the mesh.Index of every unsafe node in ascending
+// (row-major) order. The slice is shared; callers must not modify it.
+func (g *Grid) UnsafeNodes() []int { return g.unsafe }
 
 // uselessRule reports whether a node at c currently satisfies the useless
 // rule: +X neighbor and +Y neighbor faulty or useless.
@@ -178,77 +187,78 @@ func flagsAtRaw(m mesh.Mesh, label []flags, c mesh.Coord) flags {
 	return label[m.Index(c)]
 }
 
-// Compute runs the labeling to fixpoint with a worklist: only nodes whose
-// neighborhood changed are re-examined, mirroring the paper's "only those
-// affected nodes update their status". The two label closures are monotone,
-// so the result is schedule-independent; the distributed engine's equality
-// test exercises exactly that.
+// Compute runs the labeling of fault set f to fixpoint.
 func Compute(f *fault.Set) *Grid {
 	m := f.Mesh()
-	g := &Grid{m: m, label: make([]flags, m.Nodes())}
-	for idx := range g.label {
-		if f.Faulty(m.CoordOf(idx)) {
-			g.label[idx] = fFaulty
-			g.unsafe++
-		}
+	label := make([]flags, m.Nodes())
+	faulty := make([]int, 0, f.Count())
+	for _, c := range f.Coords() {
+		idx := m.Index(c)
+		label[idx] = fFaulty
+		faulty = append(faulty, idx)
 	}
-
-	work := make([]int, 0, m.Nodes())
-	inWork := make([]bool, m.Nodes())
-	for idx, fl := range g.label {
-		if fl&fFaulty == 0 {
-			work = append(work, idx)
-			inWork[idx] = true
-		}
-	}
-
-	for len(work) > 0 {
-		next := work[:0:0]
-		for _, idx := range work {
-			inWork[idx] = false
-		}
-		for _, idx := range work {
-			fl := g.label[idx]
-			if fl&fFaulty != 0 {
-				continue
-			}
-			c := m.CoordOf(idx)
-			add := flags(0)
-			if fl&fUseless == 0 && uselessRule(m, g.label, c) {
-				add |= fUseless
-			}
-			if fl&fCantReach == 0 && cantReachRule(m, g.label, c) {
-				add |= fCantReach
-			}
-			if add == 0 {
-				continue
-			}
-			if fl == 0 {
-				g.unsafe++
-			}
-			g.label[idx] = fl | add
-			for _, d := range mesh.Directions {
-				if n, ok := m.Neighbor(c, d); ok {
-					ni := m.Index(n)
-					if g.label[ni]&fFaulty == 0 && !inWork[ni] {
-						next = append(next, ni)
-						inWork[ni] = true
-					}
-				}
-			}
-		}
-		work = next
-	}
+	g, _ := fixpoint(m, label, faulty)
 	return g
+}
+
+// fixpoint completes label, which holds exactly the faulty nodes listed
+// in unsafe, to the least fixpoint of the two rules, and returns the
+// grid and the number of rule evaluations it made. The grid takes both
+// slices; unsafe gains every newly labeled node and ends sorted. The
+// worklist mirrors the paper's "only those affected nodes update their
+// status": before any label exists only the faulty nodes' neighbours can
+// satisfy a rule, and a node that gains a label re-queues its
+// neighbours. The two label closures are monotone, so the result is
+// schedule-independent; the distributed engine's equality test exercises
+// exactly that.
+func fixpoint(m mesh.Mesh, label []flags, unsafe []int) (*Grid, int) {
+	var work []int
+	var nbuf [4]mesh.Coord
+	// push queues c's neighbours that may still gain a label.
+	push := func(c mesh.Coord) {
+		for _, n := range m.Neighbors(c, nbuf[:0]) {
+			ni := m.Index(n)
+			if fl := label[ni]; fl&fFaulty == 0 && fl != fUseless|fCantReach {
+				work = append(work, ni)
+			}
+		}
+	}
+	for _, idx := range unsafe {
+		push(m.CoordOf(idx))
+	}
+	examined := 0
+	for len(work) > 0 {
+		idx := work[len(work)-1]
+		work = work[:len(work)-1]
+		fl := label[idx]
+		examined++
+		c := m.CoordOf(idx)
+		add := flags(0)
+		if fl&fUseless == 0 && uselessRule(m, label, c) {
+			add |= fUseless
+		}
+		if fl&fCantReach == 0 && cantReachRule(m, label, c) {
+			add |= fCantReach
+		}
+		if add == 0 {
+			continue
+		}
+		if fl == 0 {
+			unsafe = append(unsafe, idx)
+		}
+		label[idx] = fl | add
+		push(c)
+	}
+	slices.Sort(unsafe)
+	return &Grid{m: m, label: label, unsafe: unsafe}, examined
 }
 
 // Counts returns how many nodes display each status (a dual-labeled node
 // counts once, as useless, per Status precedence).
 func (g *Grid) Counts() (safe, faulty, useless, cantReach int) {
-	for _, fl := range g.label {
-		switch fl.status() {
-		case Safe:
-			safe++
+	safe = g.SafeCount()
+	for _, idx := range g.unsafe {
+		switch g.label[idx].status() {
 		case Faulty:
 			faulty++
 		case Useless:

@@ -1,6 +1,7 @@
 package labeling
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,32 @@ import (
 
 func grid(t *testing.T, m mesh.Mesh, faults ...mesh.Coord) *Grid {
 	t.Helper()
-	return Compute(fault.FromCoords(m, faults...))
+	g := Compute(fault.FromCoords(m, faults...))
+	checkUnsafeNodes(t, g)
+	return g
+}
+
+// checkUnsafeNodes asserts that g.UnsafeNodes() lists exactly the unsafe
+// nodes in ascending order and that UnsafeCount is its length.
+func checkUnsafeNodes(t *testing.T, g *Grid) {
+	t.Helper()
+	list := g.UnsafeNodes()
+	if g.UnsafeCount() != len(list) {
+		t.Fatalf("UnsafeCount = %d, UnsafeNodes has %d", g.UnsafeCount(), len(list))
+	}
+	next := 0
+	for idx := 0; idx < g.m.Nodes(); idx++ {
+		if !g.Unsafe(g.m.CoordOf(idx)) {
+			continue
+		}
+		if next >= len(list) || list[next] != idx {
+			t.Fatalf("UnsafeNodes = %v, want unsafe node %d at position %d", list, idx, next)
+		}
+		next++
+	}
+	if next != len(list) {
+		t.Fatalf("UnsafeNodes = %v lists %d nodes beyond the unsafe ones", list, len(list)-next)
+	}
 }
 
 func TestNoFaultsAllSafe(t *testing.T) {
@@ -132,6 +158,7 @@ func TestFixpointInvariantRandom(t *testing.T) {
 		if !g.Fixpoint() {
 			t.Fatalf("trial %d: labeling not at fixpoint", trial)
 		}
+		checkUnsafeNodes(t, g)
 		// Every faulty node is labeled faulty; no safe node lost.
 		for _, c := range f.Coords() {
 			if g.Status(c) != Faulty {
@@ -141,19 +168,53 @@ func TestFixpointInvariantRandom(t *testing.T) {
 	}
 }
 
+// TestDistributedMatchesCentral holds Compute to the protocol, which
+// bootstraps every node where Compute seeds its worklist only at the
+// faulty nodes' neighbours. Besides random fields it covers what those
+// rarely hit: no faults, faults at corners and borders, and full fault
+// rows and columns.
 func TestDistributedMatchesCentral(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 25; trial++ {
-		m := mesh.Square(16)
-		f := fault.Uniform{}.Generate(m, r.Intn(80), r)
+	check := func(name string, f *fault.Set) {
+		t.Helper()
 		central := Compute(f)
 		dist, net := ComputeDistributed(f)
 		if !central.Equal(dist) {
-			t.Fatalf("trial %d: distributed labeling differs from central", trial)
+			t.Fatalf("%s: distributed labeling differs from central", name)
 		}
+		checkUnsafeNodes(t, central)
+		checkUnsafeNodes(t, dist)
 		if net.Participants() == 0 {
-			t.Fatal("distributed labeling had no participants")
+			t.Fatalf("%s: distributed labeling had no participants", name)
 		}
+	}
+	m := mesh.New(12, 9)
+	w, h := m.Width(), m.Height()
+	line := func(f *fault.Set, from, step mesh.Coord) *fault.Set {
+		for c := from; m.In(c); c = mesh.C(c.X+step.X, c.Y+step.Y) {
+			f.Add(c)
+		}
+		return f
+	}
+	check("fault-free", fault.NewSet(m))
+	check("fault-free square", fault.NewSet(mesh.Square(16)))
+	check("corners", fault.FromCoords(m, mesh.C(0, 0), mesh.C(w-1, 0), mesh.C(0, h-1), mesh.C(w-1, h-1)))
+	check("corner pockets", fault.FromCoords(m, mesh.C(1, 0), mesh.C(0, 1), mesh.C(w-2, h-1), mesh.C(w-1, h-2)))
+	check("borders", fault.FromCoords(m, mesh.C(5, 0), mesh.C(0, 4), mesh.C(w-1, 3), mesh.C(7, h-1), mesh.C(6, 1), mesh.C(1, 5)))
+	check("bottom row", line(fault.NewSet(m), mesh.C(0, 0), mesh.C(1, 0)))
+	check("middle row", line(fault.NewSet(m), mesh.C(0, 4), mesh.C(1, 0)))
+	check("left column", line(fault.NewSet(m), mesh.C(0, 0), mesh.C(0, 1)))
+	check("middle column", line(fault.NewSet(m), mesh.C(6, 0), mesh.C(0, 1)))
+	check("row and column", line(line(fault.NewSet(m), mesh.C(0, 3), mesh.C(1, 0)), mesh.C(8, 0), mesh.C(0, 1)))
+	check("row with gap", func() *fault.Set {
+		f := line(fault.NewSet(m), mesh.C(0, 6), mesh.C(1, 0))
+		f.Remove(mesh.C(4, 6))
+		return f
+	}())
+
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 25; trial++ {
+		f := fault.Uniform{}.Generate(mesh.Square(16), r.Intn(80), r)
+		check(fmt.Sprintf("trial %d", trial), f)
 	}
 }
 

@@ -57,34 +57,34 @@ func TestUpdateMatchesCompute(t *testing.T) {
 					t.Fatalf("trial %d step %d: unsafe count %d, want %d",
 						trial, step, res.Grid.UnsafeCount(), want.UnsafeCount())
 				}
-				// Changed/UnsafeFlipped must be the exact diff vs prev.
-				changed := map[mesh.Coord]bool{}
+				checkUnsafeNodes(t, res.Grid)
+				// UnsafeFlipped must be the exact diff vs prev, and the
+				// previous grid comes back exactly when no label moved.
+				changed := false
 				flipped := map[mesh.Coord]bool{}
 				m.EachNode(func(c mesh.Coord) {
 					i := m.Index(c)
 					if res.Grid.label[i] != prev.label[i] {
-						changed[c] = true
+						changed = true
 					}
 					if res.Grid.label[i].unsafe() != prev.label[i].unsafe() {
 						flipped[c] = true
 					}
 				})
-				if len(res.Changed) != len(changed) {
-					t.Fatalf("trial %d step %d: Changed has %d cells, want %d",
-						trial, step, len(res.Changed), len(changed))
-				}
-				for _, c := range res.Changed {
-					if !changed[c] {
-						t.Fatalf("trial %d step %d: Changed lists unchanged cell %v", trial, step, c)
-					}
+				if changed == (res.Grid == prev) {
+					t.Fatalf("trial %d step %d: labels moved=%v but shares prev=%v",
+						trial, step, changed, res.Grid == prev)
 				}
 				if len(res.UnsafeFlipped) != len(flipped) {
 					t.Fatalf("trial %d step %d: UnsafeFlipped has %d cells, want %d",
 						trial, step, len(res.UnsafeFlipped), len(flipped))
 				}
-				for _, c := range res.UnsafeFlipped {
+				for i, c := range res.UnsafeFlipped {
 					if !flipped[c] {
 						t.Fatalf("trial %d step %d: UnsafeFlipped lists non-flipped cell %v", trial, step, c)
+					}
+					if i > 0 && m.Index(c) <= m.Index(res.UnsafeFlipped[i-1]) {
+						t.Fatalf("trial %d step %d: UnsafeFlipped not in row-major order at %v", trial, step, c)
 					}
 				}
 				if !res.Grid.Fixpoint() {
@@ -107,7 +107,7 @@ func TestUpdateEmptyDeltaShares(t *testing.T) {
 	if res.Grid != g {
 		t.Fatalf("empty delta should return the previous grid")
 	}
-	if res.Examined != 0 || len(res.Changed) != 0 {
+	if res.Examined != 0 || len(res.UnsafeFlipped) != 0 {
 		t.Fatalf("empty delta should do no work: %+v", res)
 	}
 }

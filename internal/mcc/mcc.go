@@ -134,19 +134,19 @@ type Set struct {
 }
 
 // Extract identifies every MCC of the labeled grid and builds the query
-// indices. Components are discovered in row-major order of their
-// south-west-most (lowest row, then lowest column) cell, which fixes IDs
-// deterministically.
+// indices. It floods from g.UnsafeNodes() in order, so components are
+// discovered in row-major order of their south-west-most (lowest row,
+// then lowest column) cell, which fixes IDs deterministically.
 func Extract(g *labeling.Grid) *Set {
 	m := g.Mesh()
 	s := &Set{grid: g, byCell: make([]int32, m.Nodes())}
 	var stack, cells []mesh.Coord
 	var nbuf [4]mesh.Coord
-	m.EachNode(func(seed mesh.Coord) {
-		si := m.Index(seed)
-		if !g.Unsafe(seed) || s.byCell[si] != 0 {
-			return
+	for _, si := range g.UnsafeNodes() {
+		if s.byCell[si] != 0 {
+			continue
 		}
+		seed := m.CoordOf(si)
 		id := len(s.all)
 		x0, x1, y0, y1 := seed.X, seed.X, seed.Y, seed.Y
 		// Flood-fill the 4-connected unsafe component.
@@ -167,7 +167,7 @@ func Extract(g *labeling.Grid) *Set {
 			}
 		}
 		s.all = append(s.all, buildMCC(id, cells, x0, x1, y0, y1))
-	})
+	}
 	s.index()
 	return s
 }
@@ -196,10 +196,10 @@ func profile(a Axis, cells []mesh.Coord, p0, p1, q0, q1 int) (lo, hi []int) {
 }
 
 // index builds the line indices and the successor lists. Both order by
-// profile values and IDs across the whole set, so Extract and UpdateSet
-// rebuild them whole. Filling the successor lists here leaves the Set
-// read-only once built, so concurrent FindSequence callers sharing one
-// analysis snapshot never write it.
+// profile values and IDs across the whole set, which is why every set
+// comes whole from Extract. Filling the successor lists here leaves the
+// Set read-only once built, so concurrent FindSequence callers sharing
+// one analysis snapshot never write it.
 func (s *Set) index() {
 	m := s.grid.Mesh()
 	ext := make([]extent, len(s.all))

@@ -74,6 +74,40 @@ func setsEqual(t *testing.T, got, want *Set) {
 	}
 }
 
+// checkCarried asserts the provenance contract info.Rebuild replays by:
+// carried maps each component of prev to the component of next with
+// exactly its cells, when there is one, and to nothing else.
+func checkCarried(t *testing.T, prev, next *Set, carried map[*MCC]*MCC) {
+	t.Helper()
+	for old, nw := range carried {
+		if old.ID >= len(prev.all) || prev.all[old.ID] != old {
+			t.Fatalf("carried key %v is not a component of the previous set", old)
+		}
+		if nw.ID >= len(next.all) || next.all[nw.ID] != nw {
+			t.Fatalf("carried target %v is not a component of the new set", nw)
+		}
+	}
+	for _, old := range prev.all {
+		// The new component holding old's first cell has exactly old's
+		// cells iff it holds every one of them and no more.
+		want := next.At(mesh.C(old.X0, old.ColLo[0]))
+		for x := old.X0; x <= old.X1 && want != nil; x++ {
+			for y := old.ColLo[x-old.X0]; y <= old.ColHi[x-old.X0]; y++ {
+				if next.At(mesh.C(x, y)) != want {
+					want = nil
+					break
+				}
+			}
+		}
+		if want != nil && want.Cells != old.Cells {
+			want = nil
+		}
+		if got := carried[old]; got != want {
+			t.Fatalf("carried[%v] = %v, want %v", old, got, want)
+		}
+	}
+}
+
 // TestUpdateSetMatchesExtract drives random fault sequences through
 // incremental relabeling + UpdateSet and compares against a from-scratch
 // Extract after every step, under the one border rule (a missing
@@ -110,15 +144,7 @@ func TestUpdateSetMatchesExtract(t *testing.T) {
 				var carried map[*MCC]*MCC
 				set, carried = UpdateSet(set, grid, res.UnsafeFlipped)
 				setsEqual(t, set, Extract(grid))
-				for old, nw := range carried {
-					if old.X0 != nw.X0 || old.Y0 != nw.Y0 || old.Cells != nw.Cells {
-						t.Fatalf("carried map pairs different geometry: %+v -> %+v", old, nw)
-					}
-					if set.all[nw.ID] != nw {
-						t.Fatalf("carried target not in new set at its ID")
-					}
-				}
-				_ = prev
+				checkCarried(t, prev, set, carried)
 				if err := set.Validate(); err != nil {
 					t.Fatalf("trial %d step %d: %v", trial, step, err)
 				}
@@ -160,8 +186,9 @@ func TestUpdateSetSharesWhenUnflipped(t *testing.T) {
 	}
 }
 
-// TestUpdateSetSharesUntouchedComponents checks pointer-level structural
-// sharing: a far-away fault leaves an existing component's *MCC reused.
+// TestUpdateSetSharesUntouchedComponents checks the provenance across a
+// far-away fault: the existing component keeps its ID and cells in the
+// new set, and carried maps it there.
 func TestUpdateSetSharesUntouchedComponents(t *testing.T) {
 	m := mesh.New(20, 20)
 	f := fault.NewSet(m)
@@ -173,11 +200,13 @@ func TestUpdateSetSharesUntouchedComponents(t *testing.T) {
 	f.Add(mesh.C(15, 15))
 	res := labeling.Update(grid, []mesh.Coord{mesh.C(15, 15)}, nil)
 	next, carried := UpdateSet(set, res.Grid, res.UnsafeFlipped)
-	if next.All()[0] != first {
-		t.Fatalf("untouched component with stable ID should be shared by pointer")
+	nw := carried[first]
+	if nw == nil || nw.ID != first.ID || next.All()[first.ID] != nw {
+		t.Fatalf("untouched component %v should be carried to ID %d, got %v", first, first.ID, nw)
 	}
-	if carried[first] != first {
-		t.Fatalf("carried map should identity-map the untouched component")
+	if nw.X0 != first.X0 || nw.Y0 != first.Y0 || nw.Cells != first.Cells || next.At(mesh.C(2, 2)) != nw {
+		t.Fatalf("carried component %+v does not hold the cells of %+v", nw, first)
 	}
+	checkCarried(t, set, next, carried)
 	setsEqual(t, next, Extract(res.Grid))
 }

@@ -8,36 +8,27 @@ import (
 	"repro/internal/mesh"
 )
 
-// RebuildStats reports what a delta-scoped rebuild actually did, for the
-// engine's rebuild counters (meshd_rebuild_cells_total on /metrics).
-type RebuildStats struct {
-	// Cells is the number of cells the labeling fixpoint examined across
-	// all four orientations — the delta-scoped substitute for the 4*nodes
-	// cells a full precompute labels.
-	Cells int
-}
-
 // RebuildFrom builds the Analysis for fault set f — prev's configuration
-// plus adds minus repairs — by delta-scoped reconstruction instead of a
-// full precompute. Per orientation it re-runs the labeling fixpoint
-// seeded from the delta's neighborhoods (labeling.Update), re-floods only
-// MCC regions touching flipped cells (mcc.UpdateSet), replays untouched
-// components' information-store contributions (info.Rebuild), and patches
-// the flat wall bitsets at exactly the flipped positions. Untouched rows,
-// regions, components, and whole stores are structurally shared with
-// prev, which is never mutated — concurrent readers of the previous
+// plus adds minus repairs — without a full precompute of the information
+// stores. Per orientation it recomputes the labeling from the faults
+// (labeling.Update) and the MCCs from the labels (mcc.UpdateSet, which
+// pairs every unchanged component with its predecessor), replays the
+// information-store contributions of components the delta provably did
+// not touch (info.Rebuild, the one incremental stage), and patches the
+// flat wall bitsets at exactly the flipped positions. An orientation
+// whose safe/unsafe partition did not move keeps prev's bitset and
+// stores. prev is never mutated — concurrent readers of the previous
 // snapshot are unaffected.
 //
 // The result is identical to NewAnalysis(f, models...) — the
 // rebuild-equivalence property test holds this to byte-identical labels,
 // MCC sets, bitsets, and routed paths. As for NewAnalysis, no models means
 // all three; prev must hold the stores of every model asked for.
-func RebuildFrom(prev *Analysis, f *fault.Set, adds, repairs []mesh.Coord, models ...info.Model) (*Analysis, RebuildStats) {
+func RebuildFrom(prev *Analysis, f *fault.Set, adds, repairs []mesh.Coord, models ...info.Model) *Analysis {
 	if len(models) == 0 {
 		models = allModels
 	}
 	a := &Analysis{m: prev.m, faults: f}
-	var st RebuildStats
 
 	// Faulty bitset: copy and flip the delta positions.
 	fb := append([]uint64(nil), prev.faultyBits...)
@@ -62,7 +53,6 @@ func RebuildFrom(prev *Analysis, f *fault.Set, adds, repairs []mesh.Coord, model
 		}
 		res := labeling.Update(prev.Grid(o), oAdds, oReps)
 		a.grids[o] = res.Grid
-		st.Cells += res.Examined
 
 		set, carried := mcc.UpdateSet(prev.MCCs(o), res.Grid, res.UnsafeFlipped)
 		a.sets[o] = set
@@ -89,5 +79,5 @@ func RebuildFrom(prev *Analysis, f *fault.Set, adds, repairs []mesh.Coord, model
 			a.stores[mod][o] = info.Rebuild(prev.Store(mod, o), set, carried, res.UnsafeFlipped)
 		}
 	}
-	return a, st
+	return a
 }

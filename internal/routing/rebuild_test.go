@@ -115,11 +115,7 @@ func TestRebuildFromMatchesPrecompute(t *testing.T) {
 					}
 				}
 				frozen := work.Clone()
-				var st RebuildStats
-				cur, st = RebuildFrom(cur, frozen, adds, repairs)
-				if st.Cells == 0 && len(adds)+len(repairs) > 0 {
-					t.Fatalf("rebuild examined no cells for a non-empty delta")
-				}
+				cur = RebuildFrom(cur, frozen, adds, repairs)
 				ref := NewAnalysis(frozen)
 				analysesEqual(t, rng, cur, ref)
 			}

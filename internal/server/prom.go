@@ -25,7 +25,6 @@ const (
 	mOracleMisses = "meshd_oracle_misses_total"
 	mRebuildDelta = "meshd_rebuild_delta_total"
 	mRebuildFull  = "meshd_rebuild_full_total"
-	mRebuildCells = "meshd_rebuild_cells_total"
 	mFaults       = "meshd_faults"
 	mSnapVersion  = "meshd_snapshot_version"
 	mWatchers     = "meshd_watchers"
@@ -58,7 +57,7 @@ func MetricNames() []string {
 		mUptime,
 		mRoutes, mDelivered, mHops, mWalkLatency, mWireErrors,
 		mOracleHits, mOracleMisses,
-		mRebuildDelta, mRebuildFull, mRebuildCells,
+		mRebuildDelta, mRebuildFull,
 		mFaults, mSnapVersion, mWatchers, mWatchDropped,
 		mJournalRecords, mJournalCheckpoints, mJournalErrors,
 		mJournalVersion, mJournalWAL,
@@ -163,7 +162,6 @@ func (s *Server) meshMetrics(e *telemetry.Exposition, me *meshEntry) {
 	e.Counter(mOracleMisses, "Distance-oracle cache misses (BFS recomputes).", labels, rs.OracleMisses)
 	e.Counter(mRebuildDelta, "Snapshot publications served by the delta-scoped rebuild path.", labels, rs.DeltaBuilds)
 	e.Counter(mRebuildFull, "Snapshot publications that fell back to a full precompute.", labels, rs.FullBuilds)
-	e.Counter(mRebuildCells, "Labeling cells examined by delta-scoped rebuilds.", labels, rs.RebuildCells)
 
 	st := me.net.Stats()
 	e.Gauge(mFaults, "Faulty nodes in the published configuration.", labels, float64(st.PublishedFaults))

@@ -165,9 +165,6 @@ meshd_rebuild_delta_total{mesh="m"} 1
 # HELP meshd_rebuild_full_total Snapshot publications that fell back to a full precompute.
 # TYPE meshd_rebuild_full_total counter
 meshd_rebuild_full_total{mesh="m"} 0
-# HELP meshd_rebuild_cells_total Labeling cells examined by delta-scoped rebuilds.
-# TYPE meshd_rebuild_cells_total counter
-meshd_rebuild_cells_total{mesh="m"} 16
 # HELP meshd_faults Faulty nodes in the published configuration.
 # TYPE meshd_faults gauge
 meshd_faults{mesh="m"} 1

@@ -647,7 +647,7 @@ func TestVarzRebuildGauges(t *testing.T) {
 		misses = `meshd_oracle_misses_total{mesh="m"}`
 	)
 	m0 := scrape(t, s)
-	if m0[`meshd_rebuild_delta_total{mesh="m"}`] == 0 || m0[`meshd_rebuild_cells_total{mesh="m"}`] == 0 {
+	if m0[`meshd_rebuild_delta_total{mesh="m"}`] == 0 || m0[`meshd_rebuild_full_total{mesh="m"}`] != 0 {
 		t.Fatalf("wall publication should be delta-scoped: %v", m0)
 	}
 	if m0[hits] < 2 || m0[misses] == 0 {
